@@ -1,12 +1,17 @@
 # Developer entry points. `make check` is the full gate the CI and the
-# acceptance criteria run: build, vet, and the test suite with the race
-# detector on.
+# acceptance criteria run: build, vet, the test suite with the race
+# detector on, then every gate in the catalogue (scripts/gates)
+# concurrently, all through scripts/check.sh. The catalogue is the one
+# place a gate's command is written; `make NAME` runs gate NAME alone.
 
 GO ?= go
 
-.PHONY: check build vet test race bench bench-save bench-smoke bench-parallel chaos fabric-chaos ha-chaos group-chaos matrix-chaos hierarchy-chaos stress pisa-race cover fuzz-smoke fleet-matrix bench-hierarchy
+GATES := $(shell grep -v '^\#' scripts/gates | cut -f1)
 
-check: build vet race chaos fabric-chaos ha-chaos group-chaos matrix-chaos hierarchy-chaos stress pisa-race cover fuzz-smoke bench-smoke
+.PHONY: check build vet test race bench bench-save bench-parallel fleet-matrix bench-hierarchy $(GATES)
+
+check:
+	./scripts/check.sh
 
 build:
 	$(GO) build ./...
@@ -20,81 +25,8 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Deterministic chaos smoke with fixed seeds; -count=1 defeats the test
-# cache so the crash/recovery invariants run on every gate.
-chaos:
-	$(GO) test -race -count=1 -run 'TestChaosShort|TestChaosDeterminism' ./internal/netsim/chaos/
-
-# Fabric chaos: seeded link flaps, two-way partitions, and one-sided
-# port-key rollovers against the self-healing DP-DP fabric; every run
-# must reconverge with paired keys and a reconciled audit trail.
-fabric-chaos:
-	$(GO) test -race -count=1 -run 'TestFabricShort|TestFabricDeterminism' ./internal/netsim/chaos/
-
-# HA chaos: controller-kill-under-sharded-load and split-brain attempts
-# against the lease-fenced active/standby pair. Every run must show zero
-# forged or stale-fenced writes applied, a bounded failover, a
-# reconciled failover/fenced-write audit trail, and bit-identical traces
-# per seed.
-ha-chaos:
-	$(GO) test -race -count=1 -run 'TestHAShort|TestHADeterminism' ./internal/netsim/chaos/
-
-# Group chaos: rolling kills across 3-5 ranked replicas (each successor
-# dying mid-promotion), store-outage-mid-tenure against the
-# bounded-staleness fence, and multi-way lease acquisition races. Every
-# run must show zero forged or stale-fenced writes applied, at most one
-# fenced-active per virtual instant, bounded failover, exact audit
-# reconciliation, and bit-identical traces per seed.
-group-chaos:
-	$(GO) test -race -count=1 -run 'TestGroupShort|TestGroupDeterminism' ./internal/netsim/chaos/
-
-# Matrix chaos: the full app × fault × protection survival matrix at
-# k=4 under the default seed, plus per-seed determinism reruns. Every
-# run must show zero forged operations applied in every protected cell,
-# measurable corruption in every unprotected attacked cell, and a trace
-# bit-identical to the checked-in golden.
-matrix-chaos:
-	$(GO) test -race -count=1 -run 'TestMatrixChaos|TestMatrixDeterminism' ./internal/fleet/
-
-# Hierarchy chaos: the two-tier control plane (per-pod shard groups +
-# WAN-partition-tolerant global key broker) under forged/torn broker
-# frames, latency spikes, an asymmetric WAN partition, and a global-tier
-# kill + election. Every run must show zero forged operations applied,
-# no cross-pod key without a fenced global grant, graceful degradation
-# on cached keys with deferred rollovers, bounded re-convergence after
-# heal, exact audit reconciliation, and bit-identical traces per seed.
-hierarchy-chaos:
-	$(GO) test -race -count=1 -run 'TestHierarchyChaos|TestHierarchyDeterminism' ./internal/hierarchy/
-
-# Concurrency stress: pipelined writers vs concurrent key rollovers under
-# fault taps, the sharded-switch suite, the sharded netsim engine, and
-# the HA replica suite (lease races, failover mid-rollover), with fresh
-# interleavings.
-stress:
-	$(GO) test -race -count=1 ./internal/controller/ ./internal/pisa/ ./internal/ha/ ./internal/netsim/
-
-# Parallel data-plane gate: the worker pool, sharded counters, and batch
-# ingress path under the race detector, with fresh interleavings
-# (-count=1). Covers worker-vs-serial equivalence, batch determinism,
-# and concurrent control-plane mutation during batches.
-pisa-race:
-	$(GO) test -race -count=1 ./internal/pisa/...
-
-# Coverage floor (>= 85%) for the trust-boundary packages: core codecs
-# and key machinery, crypto primitives, and the observability layer.
-cover:
-	./scripts/cover.sh
-
-# 10s of mutation per codec fuzz target on top of the checked-in seed
-# corpora (internal/core/testdata/fuzz). FUZZTIME=30s make fuzz-smoke
-# for a longer local campaign.
-fuzz-smoke:
-	./scripts/fuzz_smoke.sh
-
-# Quick benchmark smoke for the gate: the hot path must run end to end
-# through the benchmark harness.
-bench-smoke:
-	$(GO) test -bench=BenchmarkAuthenticatedWrite -benchtime=10x -run '^$$' -short .
+$(GATES):
+	./scripts/check.sh $@
 
 # Full evaluation benchmarks (Table I/II/III, Fig. 16-20). Slow; the test
 # targets above skip them via -short where applicable.

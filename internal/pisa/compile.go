@@ -40,6 +40,12 @@ func (u Usage) Percent(p Profile) UsagePercent {
 }
 
 // Compiled is a program resolved and placed against a target profile.
+//
+// Compile resolves every name in the program once: field references
+// become PHV slots or action-parameter indices, and headers, tables,
+// actions, registers and parser states become indices. The packet path
+// reads only the resolved forms below; the name maps serve Compile and
+// the driver API, which address tables and registers by name.
 type Compiled struct {
 	Program *Program
 	Profile Profile
@@ -48,12 +54,89 @@ type Compiled struct {
 	slots       map[FieldRef]int
 	slotWidth   []int
 	headerIndex map[string]int
-	headerSlots [][]int // header index -> slots in field order
-	metaSlots   []int
 	tableIndex  map[string]int
 	actionIndex map[string]int
 	regIndex    map[string]int
 	parserIndex map[string]int
+
+	headers  []rheader // by header index
+	metaBase int       // PHV slot of the first intrinsic metadata field
+
+	control, egress []rop
+	actions         [][]rop  // by action index
+	tables          []rtable // by table index
+	parser          []rstate // by parser state index
+	parseStart      int
+	deparse         []int // header indices in wire order
+}
+
+// rheader is a header resolved to its PHV slot range and wire length.
+// A header's fields occupy consecutive slots in field order.
+type rheader struct {
+	slot, fields, bytes int
+}
+
+// rtable is a table with its key fields and actions resolved.
+type rtable struct {
+	keys    []int // key PHV slots
+	widths  []int // key widths in bits
+	keyBits int
+	exact   bool  // every key component is an exact match
+	acts    []int // action index of each Table.Actions entry
+	dflt    int   // default action index, -1 for none
+}
+
+// rstate is a parser state with its header, select field and successor
+// states resolved. A successor of -1 accepts the packet.
+type rstate struct {
+	hdr  int // header extracted, -1 for none
+	sel  int // PHV slot selecting the successor, -1 for none
+	next map[uint64]int
+	dflt int
+}
+
+// Operand kinds of a val.
+const (
+	valNone  uint8 = iota // absent operand, reads as 0
+	valConst              // immediate c
+	valSlot               // PHV slot idx
+	valParam              // action parameter idx
+)
+
+// val is a resolved Operand. width is the operand's bit width: the
+// field or parameter width, 64 for constants.
+type val struct {
+	kind  uint8
+	width uint8
+	idx   int32
+	c     uint64
+}
+
+// rop is an Op with every name resolved. Which fields are meaningful
+// depends on kind:
+//
+//   - ALU ops and OpRandom: dst/dmask, sources a and b.
+//   - OpHash: dst/dmask, sub = HashAlg, key a (valNone when unkeyed),
+//     inputs in packed into n bytes, flag = append the payload.
+//   - Register ops: x = register bank, rmask = its width mask, index b,
+//     value a, sub = RMWKind (0 for OpRegRead), dst/dmask unless
+//     OpRegWrite.
+//   - OpSetValid, OpSetInvalid: x = header. OpApply: x = table.
+//   - OpIf: sub = CmpKind over a and b, or 0 to test header x's
+//     validity; flag negates; body holds the then-branch (its first n
+//     ops) followed by the else-branch.
+type rop struct {
+	kind  OpKind
+	sub   int32
+	x     int32
+	dst   int32 // -1 for none
+	n     int32
+	flag  bool
+	dmask uint64
+	rmask uint64
+	a, b  val
+	in    []val
+	body  []rop
 }
 
 // nominal hash-input contribution of including the payload in a digest.
@@ -62,9 +145,9 @@ const payloadHashBits = 128
 // exact-match entry overhead bits (pointers, version bits).
 const exactEntryOverheadBits = 16
 
-// Compile validates a program against a profile, allocates stages, and
-// accounts resources. It is the analogue of running the target's P4
-// compiler and reading its resource summary.
+// Compile validates a program against a profile, resolves its names,
+// allocates stages, and accounts resources. It is the analogue of running
+// the target's P4 compiler and reading its resource summary.
 func Compile(prog *Program, profile Profile) (*Compiled, error) {
 	if err := prog.validate(); err != nil {
 		return nil, err
@@ -73,11 +156,11 @@ func Compile(prog *Program, profile Profile) (*Compiled, error) {
 		Program:     prog,
 		Profile:     profile,
 		slots:       make(map[FieldRef]int),
-		headerIndex: make(map[string]int),
-		tableIndex:  make(map[string]int),
-		actionIndex: make(map[string]int),
-		regIndex:    make(map[string]int),
-		parserIndex: make(map[string]int),
+		headerIndex: make(map[string]int, len(prog.Headers)),
+		tableIndex:  make(map[string]int, len(prog.Tables)),
+		actionIndex: make(map[string]int, len(prog.Actions)),
+		regIndex:    make(map[string]int, len(prog.Registers)),
+		parserIndex: make(map[string]int, len(prog.Parser)),
 	}
 	c.resolveSlots()
 	for i, t := range prog.Tables {
@@ -93,11 +176,24 @@ func Compile(prog *Program, profile Profile) (*Compiled, error) {
 		c.parserIndex[s.Name] = i
 	}
 
-	if err := c.checkRefs(); err != nil {
+	if err := c.resolveTables(); err != nil {
 		return nil, err
 	}
-	if err := c.checkOps(); err != nil {
+	if err := c.resolveParser(); err != nil {
 		return nil, err
+	}
+	var err error
+	if c.control, err = c.resolveOps(nil, prog.Control, nil, 0); err != nil {
+		return nil, err
+	}
+	if c.egress, err = c.resolveOps(nil, prog.EgressControl, nil, 0); err != nil {
+		return nil, fmt.Errorf("egress: %w", err)
+	}
+	c.actions = make([][]rop, len(prog.Actions))
+	for i, a := range prog.Actions {
+		if c.actions[i], err = c.resolveOps(nil, a.Body, a, 0); err != nil {
+			return nil, fmt.Errorf("action %s: %w", a.Name, err)
+		}
 	}
 	if err := c.account(); err != nil {
 		return nil, err
@@ -119,26 +215,35 @@ func containerBits(width int) int {
 }
 
 func (c *Compiled) resolveSlots() {
-	add := func(ref FieldRef, width int) int {
-		slot := len(c.slotWidth)
-		c.slots[ref] = slot
+	add := func(ref FieldRef, width int) {
+		c.slots[ref] = len(c.slotWidth)
 		c.slotWidth = append(c.slotWidth, width)
-		return slot
 	}
+	c.headers = make([]rheader, len(c.Program.Headers))
 	for hi, h := range c.Program.Headers {
 		c.headerIndex[h.Name] = hi
-		slots := make([]int, len(h.Fields))
-		for fi, f := range h.Fields {
-			slots[fi] = add(F(h.Name, f.Name), f.Width)
+		c.headers[hi] = rheader{slot: len(c.slotWidth), fields: len(h.Fields), bytes: h.Bytes()}
+		for _, f := range h.Fields {
+			add(F(h.Name, f.Name), f.Width)
 		}
-		c.headerSlots = append(c.headerSlots, slots)
 	}
-	for _, f := range intrinsicMetadata() {
-		c.metaSlots = append(c.metaSlots, add(F(MetaHeader, f.Name), f.Width))
+	c.metaBase = len(c.slotWidth)
+	for _, f := range intrinsicFields {
+		add(F(MetaHeader, f.Name), f.Width)
 	}
 	for _, f := range c.Program.Metadata {
-		c.metaSlots = append(c.metaSlots, add(F(MetaHeader, f.Name), f.Width))
+		add(F(MetaHeader, f.Name), f.Width)
 	}
+	c.deparse = make([]int, len(c.Program.DeparseOrder))
+	for i, name := range c.Program.DeparseOrder {
+		c.deparse[i] = c.headerIndex[name]
+	}
+}
+
+// setIntrinsic writes intrinsic metadata field k (a meta* index) into a
+// PHV, masked to the field's width.
+func (c *Compiled) setIntrinsic(phv []uint64, k int, v uint64) {
+	phv[c.metaBase+k] = v & mask(intrinsicFields[k].Width)
 }
 
 // lookupRef resolves a field reference in the context of an action's
@@ -167,205 +272,260 @@ func (c *Compiled) lookupRef(ref FieldRef, act *Action) (slot, paramIdx, width i
 	return s, -1, c.slotWidth[s], nil
 }
 
-func (c *Compiled) checkOperand(o Operand, act *Action) error {
+func (c *Compiled) resolveVal(o Operand, act *Action) (val, error) {
 	if o.IsConst {
-		return nil
+		return val{kind: valConst, width: 64, c: o.Const}, nil
 	}
-	_, _, _, err := c.lookupRef(o.Ref, act)
-	return err
+	slot, pidx, w, err := c.lookupRef(o.Ref, act)
+	switch {
+	case err != nil:
+		return val{}, err
+	case pidx >= 0:
+		return val{kind: valParam, width: uint8(w), idx: int32(pidx)}, nil
+	}
+	return val{kind: valSlot, width: uint8(w), idx: int32(slot)}, nil
 }
 
-func (c *Compiled) checkRefs() error {
-	for _, t := range c.Program.Tables {
-		for _, k := range t.Keys {
-			if _, _, _, err := c.lookupRef(k.Field, nil); err != nil {
+func (c *Compiled) resolveTables() error {
+	c.tables = make([]rtable, len(c.Program.Tables))
+	for ti, t := range c.Program.Tables {
+		rt := &c.tables[ti]
+		rt.keys, rt.widths, rt.exact = make([]int, len(t.Keys)), make([]int, len(t.Keys)), true
+		for i, k := range t.Keys {
+			slot, _, w, err := c.lookupRef(k.Field, nil)
+			if err != nil {
 				return fmt.Errorf("table %s: %w", t.Name, err)
 			}
+			rt.keys[i], rt.widths[i] = slot, w
+			rt.keyBits += w
+			rt.exact = rt.exact && k.Match == MatchExact
 		}
-	}
-	for _, s := range c.Program.Parser {
-		if s.Select != "" {
-			if _, _, _, err := c.lookupRef(s.Select, nil); err != nil {
-				return fmt.Errorf("parser state %s: %w", s.Name, err)
-			}
+		rt.acts = make([]int, len(t.Actions))
+		for i, an := range t.Actions {
+			rt.acts[i] = c.actionIndex[an]
+		}
+		rt.dflt = -1
+		if t.Default != "" {
+			rt.dflt = c.actionIndex[t.Default]
 		}
 	}
 	return nil
 }
 
-func (c *Compiled) checkOps() error {
-	if err := c.checkOpList(c.Program.Control, nil, 0); err != nil {
-		return err
-	}
-	if err := c.checkOpList(c.Program.EgressControl, nil, 0); err != nil {
-		return fmt.Errorf("egress: %w", err)
-	}
-	for _, a := range c.Program.Actions {
-		if err := c.checkOpList(a.Body, a, 0); err != nil {
-			return fmt.Errorf("action %s: %w", a.Name, err)
+func (c *Compiled) resolveParser() error {
+	state := func(name string) int {
+		if name == "" {
+			return -1
 		}
+		return c.parserIndex[name]
+	}
+	c.parser = make([]rstate, len(c.Program.Parser))
+	c.parseStart = c.parserIndex[ParserStart]
+	for i, s := range c.Program.Parser {
+		rs := rstate{hdr: -1, sel: -1, dflt: state(s.Default)}
+		if s.Extract != "" {
+			rs.hdr = c.headerIndex[s.Extract]
+		}
+		if s.Select != "" {
+			slot, _, _, err := c.lookupRef(s.Select, nil)
+			if err != nil {
+				return fmt.Errorf("parser state %s: %w", s.Name, err)
+			}
+			rs.sel = slot
+			rs.next = make(map[uint64]int, len(s.Transitions))
+			for v, next := range s.Transitions {
+				rs.next[v] = state(next)
+			}
+		}
+		c.parser[i] = rs
 	}
 	return nil
 }
 
 const maxNesting = 16
 
-func (c *Compiled) checkOpList(ops []Op, act *Action, depth int) error {
+// resolveOps appends the resolved form of ops to out. act is the action
+// whose body ops is (nil for control flow).
+func (c *Compiled) resolveOps(out []rop, ops []Op, act *Action, depth int) ([]rop, error) {
 	if depth > maxNesting {
-		return fmt.Errorf("pisa: control flow nested deeper than %d", maxNesting)
+		return nil, fmt.Errorf("pisa: control flow nested deeper than %d", maxNesting)
+	}
+	if out == nil && len(ops) > 0 {
+		out = make([]rop, 0, len(ops))
 	}
 	for i := range ops {
-		op := &ops[i]
-		if err := c.checkOp(op, act, depth); err != nil {
-			return fmt.Errorf("op %d (%s): %w", i, op.Kind, err)
+		r, err := c.resolveOp(&ops[i], act, depth)
+		if err != nil {
+			return nil, fmt.Errorf("op %d (%s): %w", i, ops[i].Kind, err)
 		}
+		out = append(out, r)
 	}
-	return nil
+	return out, nil
 }
 
-func (c *Compiled) checkOp(op *Op, act *Action, depth int) error {
-	checkDst := func() error {
-		slot, _, w, err := c.lookupRef(op.Dst, act)
-		if err != nil {
-			return err
+// resolveOp checks one op against the program and profile and resolves
+// its names. Each step runs only while no earlier step failed, so the
+// first failure is the one reported.
+func (c *Compiled) resolveOp(op *Op, act *Action, depth int) (rop, error) {
+	r := rop{kind: op.Kind, dst: -1}
+	var err error
+	fail := func(format string, args ...any) {
+		if err == nil {
+			err = fmt.Errorf(format, args...)
 		}
-		if slot < 0 {
-			return fmt.Errorf("pisa: cannot write to action parameter %s", op.Dst)
-		}
-		if op.Kind == OpRotl && w > c.Profile.ALUWidth {
-			return fmt.Errorf("pisa: rotate on %d-bit field exceeds %d-bit ALU", w, c.Profile.ALUWidth)
-		}
-		return nil
 	}
+	operand := func(o Operand) val {
+		if err != nil {
+			return val{}
+		}
+		v, e := c.resolveVal(o, act)
+		err = e
+		return v
+	}
+	dst := func() {
+		if err != nil {
+			return
+		}
+		slot, _, w, e := c.lookupRef(op.Dst, act)
+		switch {
+		case e != nil:
+			err = e
+		case slot < 0:
+			fail("pisa: cannot write to action parameter %s", op.Dst)
+		case op.Kind == OpRotl && w > c.Profile.ALUWidth:
+			fail("pisa: rotate on %d-bit field exceeds %d-bit ALU", w, c.Profile.ALUWidth)
+		default:
+			r.dst, r.dmask = int32(slot), mask(w)
+		}
+	}
+	register := func() {
+		ri, ok := c.regIndex[op.Reg]
+		if !ok {
+			fail("pisa: unknown register %q", op.Reg)
+			return
+		}
+		r.x, r.rmask = int32(ri), mask(c.Program.Registers[ri].Width)
+	}
+	header := func(name, format string) {
+		hi, ok := c.headerIndex[name]
+		if !ok {
+			fail(format, name)
+		}
+		r.x = int32(hi)
+	}
+
 	switch op.Kind {
 	case OpSet, OpRandom:
-		if err := checkDst(); err != nil {
-			return err
-		}
+		dst()
 		if op.Kind == OpSet {
-			return c.checkOperand(op.A, act)
+			r.a = operand(op.A)
 		}
-		return nil
 	case OpAdd, OpSub, OpXor, OpAnd, OpOr, OpShl, OpShr, OpRotl:
-		if err := checkDst(); err != nil {
-			return err
-		}
-		if err := c.checkOperand(op.A, act); err != nil {
-			return err
-		}
-		return c.checkOperand(op.B, act)
+		dst()
+		r.a = operand(op.A)
+		r.b = operand(op.B)
 	case OpHash:
-		if err := checkDst(); err != nil {
-			return err
-		}
+		dst()
 		if op.Alg == HashHalfSipHash && !c.Profile.AllowExterns {
-			return fmt.Errorf("pisa: extern hash %s not available on target %s", op.Alg, c.Profile.Name)
+			fail("pisa: extern hash %s not available on target %s", op.Alg, c.Profile.Name)
 		}
 		if op.Alg < HashCRC32 || op.Alg > HashHalfSipHash {
-			return fmt.Errorf("pisa: unknown hash algorithm %d", int(op.Alg))
+			fail("pisa: unknown hash algorithm %d", int(op.Alg))
 		}
 		if op.Key != nil {
-			if err := c.checkOperand(*op.Key, act); err != nil {
-				return err
-			}
+			r.a = operand(*op.Key)
 		}
 		if len(op.Inputs) == 0 && !op.IncludePayload {
-			return fmt.Errorf("pisa: hash with no inputs")
+			fail("pisa: hash with no inputs")
 		}
-		for _, in := range op.Inputs {
-			if err := c.checkOperand(in, act); err != nil {
-				return err
-			}
+		r.sub, r.flag, r.in = int32(op.Alg), op.IncludePayload, make([]val, len(op.Inputs))
+		bits := 0
+		for i, in := range op.Inputs {
+			r.in[i] = operand(in)
+			bits += int(r.in[i].width)
 		}
-		return nil
+		r.n = int32((bits + 7) / 8)
 	case OpRegRead:
-		if err := checkDst(); err != nil {
-			return err
-		}
-		if _, ok := c.regIndex[op.Reg]; !ok {
-			return fmt.Errorf("pisa: unknown register %q", op.Reg)
-		}
-		return c.checkOperand(op.Index, act)
+		dst()
+		register()
+		r.b = operand(op.Index)
 	case OpRegRMW:
-		if err := checkDst(); err != nil {
-			return err
-		}
-		if _, ok := c.regIndex[op.Reg]; !ok {
-			return fmt.Errorf("pisa: unknown register %q", op.Reg)
-		}
+		dst()
+		register()
 		if op.RMW < RMWAdd || op.RMW > RMWXor {
-			return fmt.Errorf("pisa: unknown RMW kind %d", int(op.RMW))
+			fail("pisa: unknown RMW kind %d", int(op.RMW))
 		}
-		if err := c.checkOperand(op.Index, act); err != nil {
-			return err
-		}
-		return c.checkOperand(op.A, act)
+		r.sub = int32(op.RMW)
+		r.b = operand(op.Index)
+		r.a = operand(op.A)
 	case OpRegWrite:
-		if _, ok := c.regIndex[op.Reg]; !ok {
-			return fmt.Errorf("pisa: unknown register %q", op.Reg)
-		}
-		if err := c.checkOperand(op.Index, act); err != nil {
-			return err
-		}
-		return c.checkOperand(op.A, act)
+		register()
+		r.sub = int32(RMWWrite)
+		r.b = operand(op.Index)
+		r.a = operand(op.A)
 	case OpSetValid, OpSetInvalid:
-		if _, ok := c.headerIndex[op.Header]; !ok {
-			return fmt.Errorf("pisa: unknown header %q", op.Header)
-		}
-		return nil
+		header(op.Header, "pisa: unknown header %q")
 	case OpApply:
 		if act != nil {
-			return fmt.Errorf("pisa: table apply inside an action")
+			fail("pisa: table apply inside an action")
 		}
-		if _, ok := c.tableIndex[op.Table]; !ok {
-			return fmt.Errorf("pisa: unknown table %q", op.Table)
+		ti, ok := c.tableIndex[op.Table]
+		if !ok {
+			fail("pisa: unknown table %q", op.Table)
 		}
-		return nil
+		r.x = int32(ti)
 	case OpIf:
-		if err := c.checkCond(op.Cond, act); err != nil {
-			return err
+		cond := op.Cond
+		r.flag = cond.Negate
+		if cond.ValidHeader != "" {
+			header(cond.ValidHeader, "pisa: condition on unknown header %q")
+		} else {
+			if cond.Cmp < CmpEq || cond.Cmp > CmpGe {
+				fail("pisa: condition with invalid comparison %d", int(cond.Cmp))
+			}
+			r.sub = int32(cond.Cmp)
+			r.a = operand(cond.L)
+			r.b = operand(cond.R)
 		}
-		if err := c.checkOpList(op.Then, act, depth+1); err != nil {
-			return err
+		if err == nil {
+			body := make([]rop, 0, len(op.Then)+len(op.Else))
+			if body, err = c.resolveOps(body, op.Then, act, depth+1); err == nil {
+				r.n = int32(len(body))
+				r.body, err = c.resolveOps(body, op.Else, act, depth+1)
+			}
 		}
-		return c.checkOpList(op.Else, act, depth+1)
 	default:
-		return fmt.Errorf("pisa: unknown op kind %d", int(op.Kind))
+		fail("pisa: unknown op kind %d", int(op.Kind))
 	}
-}
-
-func (c *Compiled) checkCond(cond Cond, act *Action) error {
-	if cond.ValidHeader != "" {
-		if _, ok := c.headerIndex[cond.ValidHeader]; !ok {
-			return fmt.Errorf("pisa: condition on unknown header %q", cond.ValidHeader)
-		}
-		return nil
-	}
-	if cond.Cmp < CmpEq || cond.Cmp > CmpGe {
-		return fmt.Errorf("pisa: condition with invalid comparison %d", int(cond.Cmp))
-	}
-	if err := c.checkOperand(cond.L, act); err != nil {
-		return err
-	}
-	return c.checkOperand(cond.R, act)
+	return r, err
 }
 
 // --- stage allocation and resource accounting ---
 
+// placer is the state the stage packers of one compilation share: for
+// each PHV slot, the stamp of the stage that last wrote it. Every stage
+// of every packer gets a fresh stamp, so advancing a packer's stage
+// empties its written set without touching the slots.
+type placer struct {
+	c       *Compiled
+	written []int32
+	stamp   int32 // last stamp issued
+}
+
 // stagePacker greedily packs ops into stages respecting ALU, hash, and
 // write-read dependency constraints.
 type stagePacker struct {
-	profile Profile
-
+	pl        *placer
+	stamp     int32 // the current stage's stamp
 	stages    int
 	aluUsed   int
 	hashCalls int
 	hashBits  int
-	written   map[int]bool // slots written in the current stage
 }
 
-func newStagePacker(p Profile) *stagePacker {
-	return &stagePacker{profile: p, stages: 1, written: make(map[int]bool)}
+func (pl *placer) packer() stagePacker {
+	pl.stamp++
+	return stagePacker{pl: pl, stamp: pl.stamp, stages: 1}
 }
 
 func (sp *stagePacker) nextStage() {
@@ -373,191 +533,151 @@ func (sp *stagePacker) nextStage() {
 	sp.aluUsed = 0
 	sp.hashCalls = 0
 	sp.hashBits = 0
-	sp.written = make(map[int]bool)
+	sp.pl.stamp++
+	sp.stamp = sp.pl.stamp
 }
 
-func (sp *stagePacker) readsWritten(slots ...int) bool {
-	for _, s := range slots {
-		if s >= 0 && sp.written[s] {
-			return true
+// readsWritten reports whether v reads a slot written in the current
+// stage.
+func (sp *stagePacker) readsWritten(v val) bool {
+	return v.kind == valSlot && sp.pl.written[v.idx] == sp.stamp
+}
+
+func (sp *stagePacker) write(slot int32) {
+	if slot >= 0 {
+		sp.pl.written[slot] = sp.stamp
+	}
+}
+
+// placeALU places an op that reads a and b, takes cost ALU slots and
+// writes dst.
+func (sp *stagePacker) placeALU(op *rop, cost int) {
+	if sp.readsWritten(op.a) || sp.readsWritten(op.b) || sp.aluUsed+cost > sp.pl.c.Profile.ALUOpsPerStage {
+		sp.nextStage()
+	}
+	sp.aluUsed += cost
+	sp.write(op.dst)
+}
+
+// regAccess counts per-pass register touches, by bank, for the hardware
+// one-access rule. It is sparse: most branches touch no register.
+type regAccess []regCount
+
+type regCount struct{ bank, n int }
+
+func (ra regAccess) find(bank int) int {
+	for i := range ra {
+		if ra[i].bank == bank {
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
-func (c *Compiled) operandSlot(o Operand, act *Action) int {
-	if o.IsConst {
-		return -1
+// touch records one more access to bank.
+func (ra regAccess) touch(bank int) regAccess {
+	if i := ra.find(bank); i >= 0 {
+		ra[i].n++
+		return ra
 	}
-	slot, _, _, _ := c.lookupRef(o.Ref, act)
-	return slot
+	return append(ra, regCount{bank, 1})
 }
 
-func (c *Compiled) operandBits(o Operand, act *Action) int {
-	if o.IsConst {
-		return 64
-	}
-	_, _, w, _ := c.lookupRef(o.Ref, act)
-	return w
-}
-
-// regAccess tracks per-pass register touches for the hardware constraint.
-type regAccess map[string]int
-
-func (ra regAccess) merge(other regAccess) {
-	for r, n := range other {
-		if n > ra[r] {
-			ra[r] = n
+// merge raises each count to at least other's.
+func (ra regAccess) merge(other regAccess) regAccess {
+	for _, o := range other {
+		if i := ra.find(o.bank); i < 0 {
+			ra = append(ra, o)
+		} else if o.n > ra[i].n {
+			ra[i].n = o.n
 		}
 	}
+	return ra
 }
 
-// placeOps packs a list of ops and returns an error if a hardware
-// constraint is violated. regs accumulates register access counts.
-func (c *Compiled) placeOps(sp *stagePacker, ops []Op, act *Action, regs regAccess) error {
+// placeOps packs a list of ops and returns the register accesses they
+// make in one pass.
+func (pl *placer) placeOps(sp *stagePacker, ops []rop) regAccess {
+	profile := &pl.c.Profile
+	var regs regAccess
 	for i := range ops {
 		op := &ops[i]
-		switch op.Kind {
+		switch op.kind {
 		case OpSet, OpRandom, OpAdd, OpSub, OpXor, OpAnd, OpOr, OpShl, OpShr, OpRotl:
-			dst, _, dw, _ := c.lookupRef(op.Dst, act)
 			cost := 1
-			if dw > c.Profile.ALUWidth {
+			if op.dmask > mask(profile.ALUWidth) {
 				cost = 2
 			}
-			srcs := []int{c.operandSlot(op.A, act), c.operandSlot(op.B, act)}
-			if sp.readsWritten(srcs...) || sp.aluUsed+cost > sp.profile.ALUOpsPerStage {
-				sp.nextStage()
-			}
-			sp.aluUsed += cost
-			sp.written[dst] = true
+			sp.placeALU(op, cost)
+		case OpRegRead, OpRegWrite, OpRegRMW:
+			regs = regs.touch(int(op.x))
+			sp.placeALU(op, 1)
 		case OpHash:
-			bits := 0
-			srcSlots := make([]int, 0, len(op.Inputs)+1)
-			if op.Key != nil {
+			bits, reads := 0, sp.readsWritten(op.a)
+			if op.a.kind != valNone {
 				bits += 64
-				srcSlots = append(srcSlots, c.operandSlot(*op.Key, act))
 			}
-			for _, in := range op.Inputs {
-				bits += c.operandBits(in, act)
-				srcSlots = append(srcSlots, c.operandSlot(in, act))
+			for _, in := range op.in {
+				bits += int(in.width)
+				reads = reads || sp.readsWritten(in)
 			}
-			if op.IncludePayload {
+			if op.flag {
 				bits += payloadHashBits
 			}
-			if sp.readsWritten(srcSlots...) ||
-				sp.hashCalls+1 > sp.profile.HashCallsPerStage ||
-				sp.hashBits+bits > sp.profile.HashBitsPerStage {
+			if reads ||
+				sp.hashCalls+1 > profile.HashCallsPerStage ||
+				sp.hashBits+bits > profile.HashBitsPerStage {
 				sp.nextStage()
 			}
 			sp.hashCalls++
 			sp.hashBits += bits
-			c.Usage.HashCalls++
-			c.Usage.HashBits += bits
-			dst, _, _, _ := c.lookupRef(op.Dst, act)
-			sp.written[dst] = true
-		case OpRegRead, OpRegWrite, OpRegRMW:
-			regs[op.Reg]++
-			srcs := []int{c.operandSlot(op.Index, act)}
-			if op.Kind != OpRegRead {
-				srcs = append(srcs, c.operandSlot(op.A, act))
-			}
-			if sp.readsWritten(srcs...) || sp.aluUsed+1 > sp.profile.ALUOpsPerStage {
-				sp.nextStage()
-			}
-			sp.aluUsed++
-			if op.Kind != OpRegWrite {
-				dst, _, _, _ := c.lookupRef(op.Dst, act)
-				sp.written[dst] = true
-			}
+			pl.c.Usage.HashCalls++
+			pl.c.Usage.HashBits += bits
+			sp.write(op.dst)
 		case OpSetValid, OpSetInvalid:
-			if sp.aluUsed+1 > sp.profile.ALUOpsPerStage {
+			if sp.aluUsed+1 > profile.ALUOpsPerStage {
 				sp.nextStage()
 			}
 			sp.aluUsed++
 		case OpApply:
-			tbl := c.Program.Table(op.Table)
+			rt := &pl.c.tables[op.x]
 			// A table occupies a fresh stage: its match happens at stage
 			// entry, its action ops execute within (and possibly beyond).
 			sp.nextStage()
 			// Exact tables hash their key.
-			keyBits := 0
-			exact := true
-			for _, k := range tbl.Keys {
-				_, _, w, _ := c.lookupRef(k.Field, nil)
-				keyBits += w
-				if k.Match != MatchExact {
-					exact = false
-				}
-			}
-			if exact {
+			if rt.exact {
 				sp.hashCalls++
-				sp.hashBits += keyBits
-				c.Usage.HashBits += keyBits
+				sp.hashBits += rt.keyBits
+				pl.c.Usage.HashBits += rt.keyBits
 			}
 			// Deepest action bound: all permitted actions must fit.
 			deepest := 0
-			var deepestRegs regAccess
-			for _, an := range append([]string{}, tbl.Actions...) {
-				a := c.Program.Action(an)
-				inner := newStagePacker(c.Profile)
-				innerRegs := make(regAccess)
-				if err := c.placeOps(inner, a.Body, a, innerRegs); err != nil {
-					return fmt.Errorf("table %s action %s: %w", tbl.Name, an, err)
-				}
-				if inner.stages-1 > deepest {
-					deepest = inner.stages - 1
-				}
-				if deepestRegs == nil {
-					deepestRegs = innerRegs
-				} else {
-					deepestRegs.merge(innerRegs)
-				}
+			place := func(ai int) {
+				inner := pl.packer()
+				regs = regs.merge(pl.placeOps(&inner, pl.c.actions[ai]))
+				deepest = max(deepest, inner.stages-1)
 			}
-			if tbl.Default != "" {
-				a := c.Program.Action(tbl.Default)
-				inner := newStagePacker(c.Profile)
-				innerRegs := make(regAccess)
-				if err := c.placeOps(inner, a.Body, a, innerRegs); err != nil {
-					return fmt.Errorf("table %s default action: %w", tbl.Name, err)
-				}
-				if inner.stages-1 > deepest {
-					deepest = inner.stages - 1
-				}
-				if deepestRegs == nil {
-					deepestRegs = innerRegs
-				} else {
-					deepestRegs.merge(innerRegs)
-				}
+			for _, ai := range rt.acts {
+				place(ai)
+			}
+			if rt.dflt >= 0 {
+				place(rt.dflt)
 			}
 			for j := 0; j < deepest; j++ {
 				sp.nextStage()
 			}
-			regs.merge(deepestRegs)
 		case OpIf:
 			// Both branches execute in the same stage window; the deeper
 			// branch determines progress. Register accesses merge as max.
-			thenSP := newStagePacker(c.Profile)
-			thenRegs := make(regAccess)
-			if err := c.placeOps(thenSP, op.Then, act, thenRegs); err != nil {
-				return err
-			}
-			elseSP := newStagePacker(c.Profile)
-			elseRegs := make(regAccess)
-			if err := c.placeOps(elseSP, op.Else, act, elseRegs); err != nil {
-				return err
-			}
-			deeper := thenSP.stages
-			if elseSP.stages > deeper {
-				deeper = elseSP.stages
-			}
-			for j := 0; j < deeper; j++ {
+			thenSP, elseSP := pl.packer(), pl.packer()
+			regs = regs.merge(pl.placeOps(&thenSP, op.body[:op.n]))
+			regs = regs.merge(pl.placeOps(&elseSP, op.body[op.n:]))
+			for j := 0; j < max(thenSP.stages, elseSP.stages); j++ {
 				sp.nextStage()
 			}
-			thenRegs.merge(elseRegs)
-			regs.merge(thenRegs)
 		}
 	}
-	return nil
+	return regs
 }
 
 func (c *Compiled) account() error {
@@ -567,7 +687,7 @@ func (c *Compiled) account() error {
 			c.Usage.PHVBits += containerBits(f.Width)
 		}
 	}
-	for _, f := range intrinsicMetadata() {
+	for _, f := range intrinsicFields {
 		c.Usage.PHVBits += containerBits(f.Width)
 	}
 	for _, f := range c.Program.Metadata {
@@ -578,20 +698,12 @@ func (c *Compiled) account() error {
 	}
 
 	// Tables: SRAM or TCAM.
-	for _, t := range c.Program.Tables {
-		keyBits, exact := 0, true
-		for _, k := range t.Keys {
-			_, _, w, _ := c.lookupRef(k.Field, nil)
-			keyBits += w
-			if k.Match != MatchExact {
-				exact = false
-			}
-		}
+	for ti, t := range c.Program.Tables {
+		keyBits, exact := c.tables[ti].keyBits, c.tables[ti].exact
 		actionDataBits := 0
-		for _, an := range t.Actions {
-			a := c.Program.Action(an)
+		for _, ai := range c.tables[ti].acts {
 			bits := 0
-			for _, p := range a.Params {
+			for _, p := range c.Program.Actions[ai].Params {
 				bits += p.Width
 			}
 			if bits > actionDataBits {
@@ -643,17 +755,13 @@ func (c *Compiled) account() error {
 	}
 
 	// Stages (hash usage accumulates inside placeOps).
-	sp := newStagePacker(c.Profile)
-	regs := make(regAccess)
-	if err := c.placeOps(sp, c.Program.Control, nil, regs); err != nil {
-		return err
-	}
-	egSP := newStagePacker(c.Profile)
-	egRegs := make(regAccess)
-	if len(c.Program.EgressControl) > 0 {
-		if err := c.placeOps(egSP, c.Program.EgressControl, nil, egRegs); err != nil {
-			return fmt.Errorf("egress: %w", err)
-		}
+	pl := &placer{c: c, written: make([]int32, len(c.slotWidth))}
+	sp := pl.packer()
+	regs := pl.placeOps(&sp, c.control)
+	var egRegs regAccess
+	if len(c.egress) > 0 {
+		egSP := pl.packer()
+		egRegs = pl.placeOps(&egSP, c.egress)
 		if egSP.stages > c.Profile.Stages {
 			return fmt.Errorf("pisa: egress pipeline needs %d stages, target %s has %d (no egress recirculation)",
 				egSP.stages, c.Profile.Name, c.Profile.Stages)
@@ -661,18 +769,19 @@ func (c *Compiled) account() error {
 		c.Usage.EgressStages = egSP.stages
 	}
 	if c.Profile.StrictRegisterAccess {
-		for r, n := range regs {
-			if n > 1 {
-				return fmt.Errorf("pisa: register %q accessed %d times per pass; target %s allows one", r, n, c.Profile.Name)
+		regName := func(bank int) string { return c.Program.Registers[bank].Name }
+		for _, r := range regs {
+			if r.n > 1 {
+				return fmt.Errorf("pisa: register %q accessed %d times per pass; target %s allows one", regName(r.bank), r.n, c.Profile.Name)
 			}
 		}
-		for r, n := range egRegs {
-			if n > 1 {
-				return fmt.Errorf("pisa: register %q accessed %d times per egress pass; target %s allows one", r, n, c.Profile.Name)
+		for _, r := range egRegs {
+			if r.n > 1 {
+				return fmt.Errorf("pisa: register %q accessed %d times per egress pass; target %s allows one", regName(r.bank), r.n, c.Profile.Name)
 			}
 			// Ingress and egress MAUs do not share register memory.
-			if regs[r] > 0 {
-				return fmt.Errorf("pisa: register %q used in both ingress and egress pipelines on target %s", r, c.Profile.Name)
+			if regs.find(r.bank) >= 0 {
+				return fmt.Errorf("pisa: register %q used in both ingress and egress pipelines on target %s", regName(r.bank), c.Profile.Name)
 			}
 		}
 	}

@@ -24,4 +24,15 @@
 // parser state machine and deparses the PHV back to bytes on emission, so
 // a man-in-the-middle in the network sees — and can rewrite — exactly the
 // bits a hardware switch would put on the wire.
+//
+// Names are resolved only in Compile. Every field reference becomes a PHV
+// slot or an action-parameter index with its width mask; every header,
+// table, action, register and parser state becomes an index; parser
+// transitions, the deparse order and the intrinsic metadata slots are
+// precomputed; a table entry's action is resolved when it is inserted.
+// The packet path reads only those indices: it never splits a field
+// reference, builds a name, or looks one up in a map. The name-resolving
+// interpreter that walks the Op trees directly survives only in the
+// tests, as the differential oracle FuzzResolvedVsInterpreter checks the
+// resolved executor against.
 package pisa

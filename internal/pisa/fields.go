@@ -86,18 +86,32 @@ const (
 	MetaPktLen      = "pkt_len"      // packet length in bytes
 )
 
-func intrinsicMetadata() []FieldDef {
-	return []FieldDef{
-		{Name: MetaIngressPort, Width: 16},
-		{Name: MetaEgressPort, Width: 16},
-		{Name: MetaDrop, Width: 1},
-		{Name: MetaToCPU, Width: 1},
-		{Name: MetaRecirc, Width: 1},
-		{Name: MetaMcastGroup, Width: 16},
-		{Name: MetaPass, Width: 8},
-		{Name: MetaTimestamp, Width: 48},
-		{Name: MetaPktLen, Width: 16},
-	}
+// Indices of the intrinsic fields in intrinsicFields and, counted from
+// Compiled.metaBase, in the PHV.
+const (
+	metaIngressPort = iota
+	metaEgressPort
+	metaDrop
+	metaToCPU
+	metaRecirc
+	metaMcastGroup
+	metaPass
+	metaTimestamp
+	metaPktLen
+	numIntrinsic
+)
+
+// intrinsicFields are the intrinsic metadata fields in PHV slot order.
+var intrinsicFields = [numIntrinsic]FieldDef{
+	metaIngressPort: {Name: MetaIngressPort, Width: 16},
+	metaEgressPort:  {Name: MetaEgressPort, Width: 16},
+	metaDrop:        {Name: MetaDrop, Width: 1},
+	metaToCPU:       {Name: MetaToCPU, Width: 1},
+	metaRecirc:      {Name: MetaRecirc, Width: 1},
+	metaMcastGroup:  {Name: MetaMcastGroup, Width: 16},
+	metaPass:        {Name: MetaPass, Width: 8},
+	metaTimestamp:   {Name: MetaTimestamp, Width: 48},
+	metaPktLen:      {Name: MetaPktLen, Width: 16},
 }
 
 func mask(width int) uint64 {

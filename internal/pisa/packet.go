@@ -18,8 +18,16 @@ func (p Packet) Clone() Packet {
 }
 
 // packBits writes the low `width` bits of v into buf starting at bit offset
-// off (MSB-first), returning the new offset.
+// off (MSB-first), returning the new offset. Byte-aligned fields are
+// written a byte at a time; others bit by bit.
 func packBits(buf []byte, off int, v uint64, width int) int {
+	if off%8 == 0 && width%8 == 0 {
+		for i := (off+width)/8 - 1; i >= off/8; i-- {
+			buf[i] |= byte(v)
+			v >>= 8
+		}
+		return off + width
+	}
 	for i := width - 1; i >= 0; i-- {
 		bit := (v >> uint(i)) & 1
 		if bit != 0 {
@@ -31,9 +39,16 @@ func packBits(buf []byte, off int, v uint64, width int) int {
 }
 
 // unpackBits reads `width` bits from buf starting at bit offset off
-// (MSB-first).
+// (MSB-first). Byte-aligned fields are read a byte at a time; others bit
+// by bit.
 func unpackBits(buf []byte, off, width int) (uint64, int) {
 	var v uint64
+	if off%8 == 0 && width%8 == 0 {
+		for _, b := range buf[off/8 : (off+width)/8] {
+			v = v<<8 | uint64(b)
+		}
+		return v, off + width
+	}
 	for i := 0; i < width; i++ {
 		v <<= 1
 		v |= uint64(buf[off/8]>>uint(7-off%8)) & 1

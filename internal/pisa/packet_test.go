@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+
+	"p4auth/internal/crypto"
 )
 
 func TestPackUnpackRoundtrip(t *testing.T) {
@@ -105,5 +107,73 @@ func TestPacketClone(t *testing.T) {
 	c.Data[0] = 9
 	if p.Data[0] != 1 {
 		t.Error("clone shares backing array")
+	}
+}
+
+// bitLoopPack and bitLoopUnpack are the one-bit-per-iteration reference
+// forms of packBits and unpackBits.
+func bitLoopPack(buf []byte, off int, v uint64, width int) int {
+	for i := width - 1; i >= 0; i-- {
+		if (v>>uint(i))&1 != 0 {
+			buf[off/8] |= 1 << uint(7-off%8)
+		}
+		off++
+	}
+	return off
+}
+
+func bitLoopUnpack(buf []byte, off, width int) (uint64, int) {
+	var v uint64
+	for i := 0; i < width; i++ {
+		v = v<<1 | uint64(buf[off/8]>>uint(7-off%8))&1
+		off++
+	}
+	return v, off
+}
+
+// TestPackUnpackBitsMatchBitLoop checks packBits and unpackBits against
+// the bit-loop reference at every bit offset in [0,64) and every width in
+// [1,64], over buffers that are not zero (pack ORs into them) and values
+// with bits set above the width (pack writes only the low bits).
+func TestPackUnpackBitsMatchBitLoop(t *testing.T) {
+	rng := crypto.NewSeededRand(0xb175)
+	for off := 0; off < 64; off++ {
+		for width := 1; width <= 64; width++ {
+			for trial := 0; trial < 4; trial++ {
+				var base [16]byte
+				for i := range base {
+					base[i] = byte(rng.Uint64())
+				}
+				if trial == 0 {
+					base = [16]byte{}
+				}
+				v := rng.Uint64()
+				got, want := base, base
+				gotOff := packBits(got[:], off, v, width)
+				wantOff := bitLoopPack(want[:], off, v, width)
+				if got != want || gotOff != wantOff {
+					t.Fatalf("packBits(off=%d, width=%d, %#x) = % x (off %d), want % x (off %d)",
+						off, width, v, got, gotOff, want, wantOff)
+				}
+				gotV, gotOff := unpackBits(base[:], off, width)
+				wantV, wantOff := bitLoopUnpack(base[:], off, width)
+				if gotV != wantV || gotOff != wantOff {
+					t.Fatalf("unpackBits(% x, off=%d, width=%d) = %#x (off %d), want %#x (off %d)",
+						base, off, width, gotV, gotOff, wantV, wantOff)
+				}
+			}
+		}
+	}
+}
+
+func TestAppendZeros(t *testing.T) {
+	b := appendZeros([]byte{1, 2}, 3)
+	if !bytes.Equal(b, []byte{1, 2, 0, 0, 0}) {
+		t.Fatalf("appendZeros = %v", b)
+	}
+	// Reused capacity holding stale bytes must come back cleared.
+	b = appendZeros(b[:1], 4)
+	if !bytes.Equal(b, []byte{1, 0, 0, 0, 0}) {
+		t.Fatalf("appendZeros over stale capacity = %v", b)
 	}
 }

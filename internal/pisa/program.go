@@ -112,7 +112,7 @@ func (p *Program) validate() error {
 		seenH[h.Name] = true
 	}
 	seenM := make(map[string]bool)
-	for _, m := range intrinsicMetadata() {
+	for _, m := range intrinsicFields {
 		seenM[m.Name] = true
 	}
 	for _, m := range p.Metadata {

@@ -3,6 +3,8 @@ package pisa
 import (
 	"fmt"
 	"hash/crc32"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -138,8 +140,8 @@ func NewSwitchFromCompiled(compiled *Compiled, opts ...Option) *Switch {
 		keyedCast: crypto.NewKeyedCRC32Castagnoli(),
 		halfsip:   crypto.NewHalfSipHash24(),
 	}
-	for _, t := range compiled.Program.Tables {
-		s.tables = append(s.tables, newTableState(t))
+	for i, t := range compiled.Program.Tables {
+		s.tables = append(s.tables, newTableState(t, &compiled.tables[i]))
 	}
 	for _, r := range compiled.Program.Registers {
 		s.regs = append(s.regs, make([]uint64, r.Entries))
@@ -364,24 +366,17 @@ type execState struct {
 	shard uint32
 
 	// Reusable scratch, pooled with the state.
-	hashVals   []uint64
-	hashWidths []int
-	hashBuf    []byte
-	hashData   []byte
-	keyVals    []uint64
-	keyWidths  []int
-	keyBuf     []byte
-	dests      []int
+	hashBuf  []byte
+	hashData []byte
+	keyVals  []uint64
+	keyBuf   []byte
+	dests    []int
 }
 
 func (s *Switch) getExec() *execState {
 	st := s.execPool.Get().(*execState)
-	for i := range st.phv {
-		st.phv[i] = 0
-	}
-	for i := range st.valid {
-		st.valid[i] = false
-	}
+	clear(st.phv)
+	clear(st.valid)
 	st.payload = st.payload[:0]
 	st.passes = 0
 	st.dests = st.dests[:0]
@@ -409,11 +404,12 @@ func (s *Switch) ProcessInto(pkt Packet, res *Result) error {
 // processInto is ProcessInto with the packet's random source and counter
 // shard chosen by the caller: the serial path passes the switch's base
 // source and shard 0, worker lanes pass their deterministic fork and lane
-// shard.
+// shard. It runs the compiled program's resolved forms only.
 func (s *Switch) processInto(pkt Packet, res *Result, rng crypto.RandomSource, shard uint32) error {
 	s.stateMu.RLock()
 	defer s.stateMu.RUnlock()
 
+	c := s.compiled
 	st := s.getExec()
 	defer s.putExec(st)
 	st.rng, st.shard = rng, shard
@@ -422,51 +418,51 @@ func (s *Switch) processInto(pkt Packet, res *Result, rng crypto.RandomSource, s
 	res.Passes = 0
 	res.Cost = 0
 
-	if err := s.parse(st, pkt.Data); err != nil {
+	if err := s.extract(st, pkt.Data); err != nil {
 		s.bump(st, cntParseError)
 		return err
 	}
-	s.setMeta(st, MetaIngressPort, uint64(pkt.Port))
-	s.setMeta(st, MetaTimestamp, s.now.Load())
-	s.setMeta(st, MetaPktLen, uint64(len(pkt.Data)))
+	c.setIntrinsic(st.phv, metaIngressPort, uint64(pkt.Port))
+	c.setIntrinsic(st.phv, metaTimestamp, s.now.Load())
+	c.setIntrinsic(st.phv, metaPktLen, uint64(len(pkt.Data)))
+	meta := st.phv[c.metaBase : c.metaBase+numIntrinsic]
 
-	maxPasses := s.compiled.Profile.MaxPasses
 	for pass := 0; ; pass++ {
 		st.passes = pass + 1
-		s.setMeta(st, MetaPass, uint64(pass))
-		s.setMeta(st, MetaRecirc, 0)
-		if err := s.runOps(st, s.compiled.Program.Control, nil); err != nil {
+		c.setIntrinsic(st.phv, metaPass, uint64(pass))
+		meta[metaRecirc] = 0
+		if err := s.exec(st, c.control, nil); err != nil {
 			return err
 		}
-		if s.getMeta(st, MetaRecirc) == 0 {
+		if meta[metaRecirc] == 0 {
 			break
 		}
-		if pass+1 >= maxPasses {
+		if pass+1 >= c.Profile.MaxPasses {
 			s.bump(st, cntRecircOverflow)
-			s.setMeta(st, MetaDrop, 1)
+			meta[metaDrop] = 1
 			break
 		}
 	}
 
-	stages := s.compiled.StagesPerPass() + s.compiled.Usage.EgressStages
+	stages := c.StagesPerPass() + c.Usage.EgressStages
 	res.Passes = st.passes
-	res.Cost = s.compiled.Profile.PacketCost(stages, st.passes, len(st.payload))
-	if s.getMeta(st, MetaDrop) != 0 {
+	res.Cost = c.Profile.PacketCost(stages, st.passes, len(st.payload))
+	if meta[metaDrop] != 0 {
 		s.bump(st, cntDropped)
 		return nil
 	}
 
 	// Replication: copy-to-CPU plus multicast group or unicast port.
 	dests := st.dests
-	if s.getMeta(st, MetaToCPU) != 0 {
+	if meta[metaToCPU] != 0 {
 		dests = append(dests, CPUPort)
 	}
 	switch {
-	case s.getMeta(st, MetaMcastGroup) != 0:
-		dests = append(dests, s.mcast[s.getMeta(st, MetaMcastGroup)]...)
-	case s.getMeta(st, MetaEgressPort) != 0:
+	case meta[metaMcastGroup] != 0:
+		dests = append(dests, s.mcast[meta[metaMcastGroup]]...)
+	case meta[metaEgressPort] != 0:
 		// Ports are 1-based; 0 means "no unicast decision".
-		dests = append(dests, int(s.getMeta(st, MetaEgressPort)))
+		dests = append(dests, int(meta[metaEgressPort]))
 	default:
 		if len(dests) == 0 {
 			s.bump(st, cntNoEgress)
@@ -477,7 +473,7 @@ func (s *Switch) processInto(pkt Packet, res *Result, rng crypto.RandomSource, s
 	// Egress pipeline per replica.
 	for _, port := range dests {
 		est := st
-		if len(dests) > 1 || len(s.compiled.Program.EgressControl) > 0 {
+		if len(dests) > 1 || len(c.egress) > 0 {
 			cp := s.getExec()
 			copy(cp.phv, st.phv)
 			copy(cp.valid, st.valid)
@@ -485,15 +481,15 @@ func (s *Switch) processInto(pkt Packet, res *Result, rng crypto.RandomSource, s
 			cp.rng, cp.shard = st.rng, st.shard
 			est = cp
 		}
-		s.setMeta(est, MetaEgressPort, uint64(port)&mask(16))
-		if len(s.compiled.Program.EgressControl) > 0 {
-			if err := s.runOps(est, s.compiled.Program.EgressControl, nil); err != nil {
+		c.setIntrinsic(est.phv, metaEgressPort, uint64(port))
+		if len(c.egress) > 0 {
+			if err := s.exec(est, c.egress, nil); err != nil {
 				if est != st {
 					s.putExec(est)
 				}
 				return fmt.Errorf("egress: %w", err)
 			}
-			if s.getMeta(est, MetaDrop) != 0 {
+			if est.phv[c.metaBase+metaDrop] != 0 {
 				s.bump(st, cntEgressDropped)
 				if est != st {
 					s.putExec(est)
@@ -506,7 +502,7 @@ func (s *Switch) processInto(pkt Packet, res *Result, rng crypto.RandomSource, s
 		if idx < len(res.bufs) {
 			buf = res.bufs[idx][:0]
 		}
-		buf = s.deparseInto(est, buf)
+		buf = s.emit(est, buf)
 		if idx < len(res.bufs) {
 			res.bufs[idx] = buf
 		} else {
@@ -520,60 +516,38 @@ func (s *Switch) processInto(pkt Packet, res *Result, rng crypto.RandomSource, s
 	return nil
 }
 
-func (s *Switch) metaSlot(name string) int {
-	return s.compiled.slots[F(MetaHeader, name)]
-}
-
-func (s *Switch) setMeta(st *execState, name string, v uint64) {
-	slot := s.metaSlot(name)
-	st.phv[slot] = v & mask(s.compiled.slotWidth[slot])
-}
-
-func (s *Switch) getMeta(st *execState, name string) uint64 {
-	return st.phv[s.metaSlot(name)]
-}
-
-func (s *Switch) parse(st *execState, data []byte) error {
-	prog := s.compiled.Program
-	if len(prog.Parser) == 0 {
+// extract runs the parser state machine over data, filling the PHV and
+// header validity, and keeps what follows the last header as payload.
+func (s *Switch) extract(st *execState, data []byte) error {
+	c := s.compiled
+	if len(c.parser) == 0 {
 		st.payload = append(st.payload[:0], data...)
 		return nil
 	}
 	rest := data
-	stateName := ParserStart
-	for steps := 0; ; steps++ {
+	for si, steps := c.parseStart, 0; si >= 0; steps++ {
 		if steps > 64 {
 			return fmt.Errorf("pisa: parser exceeded 64 states (loop?)")
 		}
-		si, ok := s.compiled.parserIndex[stateName]
-		if !ok {
-			return fmt.Errorf("pisa: parser transitioned to unknown state %q", stateName)
-		}
-		state := prog.Parser[si]
-		if state.Extract != "" {
-			hi := s.compiled.headerIndex[state.Extract]
-			def := prog.Headers[hi]
-			if len(rest) < def.Bytes() {
-				return fmt.Errorf("pisa: header %s needs %d bytes, packet has %d", def.Name, def.Bytes(), len(rest))
+		state := &c.parser[si]
+		if state.hdr >= 0 {
+			h := &c.headers[state.hdr]
+			if len(rest) < h.bytes {
+				return fmt.Errorf("pisa: header %s needs %d bytes, packet has %d", c.Program.Headers[state.hdr].Name, h.bytes, len(rest))
 			}
 			off := 0
-			for fi, slot := range s.compiled.headerSlots[hi] {
-				st.phv[slot], off = unpackBits(rest, off, def.Fields[fi].Width)
+			for slot := h.slot; slot < h.slot+h.fields; slot++ {
+				st.phv[slot], off = unpackBits(rest, off, c.slotWidth[slot])
 			}
-			st.valid[hi] = true
-			rest = rest[def.Bytes():]
+			st.valid[state.hdr] = true
+			rest = rest[h.bytes:]
 		}
-		next := state.Default
-		if state.Select != "" {
-			slot := s.compiled.slots[state.Select]
-			if n, ok := state.Transitions[st.phv[slot]]; ok {
-				next = n
+		si = state.dflt
+		if state.sel >= 0 {
+			if next, ok := state.next[st.phv[state.sel]]; ok {
+				si = next
 			}
 		}
-		if next == "" {
-			break
-		}
-		stateName = next
 	}
 	st.payload = append(st.payload[:0], rest...)
 	return nil
@@ -582,52 +556,44 @@ func (s *Switch) parse(st *execState, data []byte) error {
 // appendZeros extends b with n zero bytes (deparse packs bits by OR-ing,
 // so fresh bytes must be cleared).
 func appendZeros(b []byte, n int) []byte {
-	for i := 0; i < n; i++ {
-		b = append(b, 0)
-	}
+	b = slices.Grow(b, n)
+	b = b[:len(b)+n]
+	clear(b[len(b)-n:])
 	return b
 }
 
-// deparseInto serializes the valid headers and payload, appending into out.
-func (s *Switch) deparseInto(st *execState, out []byte) []byte {
-	prog := s.compiled.Program
-	for _, name := range prog.DeparseOrder {
-		hi := s.compiled.headerIndex[name]
+// emit serializes the valid headers in deparse order and the payload,
+// appending to out.
+func (s *Switch) emit(st *execState, out []byte) []byte {
+	c := s.compiled
+	for _, hi := range c.deparse {
 		if !st.valid[hi] {
 			continue
 		}
-		def := prog.Headers[hi]
+		h := &c.headers[hi]
 		base := len(out)
-		out = appendZeros(out, def.Bytes())
+		out = appendZeros(out, h.bytes)
 		off := 0
-		for fi, slot := range s.compiled.headerSlots[hi] {
-			w := def.Fields[fi].Width
+		for slot := h.slot; slot < h.slot+h.fields; slot++ {
+			w := c.slotWidth[slot]
 			off = packBits(out[base:], off, st.phv[slot]&mask(w), w)
 		}
 	}
 	return append(out, st.payload...)
 }
 
-type execFrame struct {
-	params []uint64
-}
-
-// evalOperandIn resolves operands that may reference action parameters.
-func (s *Switch) evalOperandIn(st *execState, o Operand, act *Action, frame *execFrame) (uint64, error) {
-	if o.IsConst {
-		return o.Const, nil
-	}
-	slot, pidx, _, err := s.compiled.lookupRef(o.Ref, act)
-	if err != nil {
-		return 0, err
-	}
-	if pidx >= 0 {
-		if frame == nil || pidx >= len(frame.params) {
-			return 0, fmt.Errorf("pisa: parameter %s unbound", o.Ref)
+// eval reads a resolved operand. params is the running action's data.
+func (st *execState) eval(v *val, params []uint64) (uint64, error) {
+	switch v.kind {
+	case valSlot:
+		return st.phv[v.idx], nil
+	case valParam:
+		if int(v.idx) >= len(params) {
+			return 0, fmt.Errorf("pisa: parameter %d unbound", v.idx)
 		}
-		return frame.params[pidx], nil
+		return params[v.idx], nil
 	}
-	return st.phv[slot], nil
+	return v.c, nil
 }
 
 func rotl(v uint64, n uint64, width int) uint64 {
@@ -637,32 +603,23 @@ func rotl(v uint64, n uint64, width int) uint64 {
 	return ((v << n) | (v >> (uint64(width) - n))) & m
 }
 
-func (s *Switch) runOps(st *execState, ops []Op, actFrame *opContext) error {
-	var act *Action
-	var frame *execFrame
-	if actFrame != nil {
-		act, frame = actFrame.act, actFrame.frame
-	}
+// exec runs a resolved op list. params is the action data of the table
+// entry whose action is running (nil in control flow).
+func (s *Switch) exec(st *execState, ops []rop, params []uint64) error {
 	for i := range ops {
 		op := &ops[i]
-		switch op.Kind {
+		switch op.kind {
 		case OpSet, OpAdd, OpSub, OpXor, OpAnd, OpOr, OpShl, OpShr, OpRotl:
-			a, err := s.evalOperandIn(st, op.A, act, frame)
+			a, err := st.eval(&op.a, params)
 			if err != nil {
 				return err
 			}
-			var b uint64
-			if op.Kind != OpSet {
-				if b, err = s.evalOperandIn(st, op.B, act, frame); err != nil {
-					return err
-				}
-			}
-			slot, _, w, err := s.compiled.lookupRef(op.Dst, act)
+			b, err := st.eval(&op.b, params)
 			if err != nil {
 				return err
 			}
 			var v uint64
-			switch op.Kind {
+			switch op.kind {
 			case OpSet:
 				v = a
 			case OpAdd:
@@ -676,158 +633,119 @@ func (s *Switch) runOps(st *execState, ops []Op, actFrame *opContext) error {
 			case OpOr:
 				v = a | b
 			case OpShl:
-				if b >= 64 {
-					v = 0
-				} else {
+				if b < 64 {
 					v = a << b
 				}
 			case OpShr:
-				if b >= 64 {
-					v = 0
-				} else {
+				if b < 64 {
 					v = a >> b
 				}
 			case OpRotl:
-				v = rotl(a, b, w)
+				v = rotl(a, b, bits.Len64(op.dmask))
 			}
-			st.phv[slot] = v & mask(w)
+			st.phv[op.dst] = v & op.dmask
 		case OpHash:
-			v, err := s.execHash(st, op, act, frame)
+			v, err := s.hash(st, op, params)
 			if err != nil {
 				return err
 			}
-			slot, _, w, err := s.compiled.lookupRef(op.Dst, act)
-			if err != nil {
-				return err
-			}
-			st.phv[slot] = uint64(v) & mask(w)
+			st.phv[op.dst] = uint64(v) & op.dmask
 		case OpRegRead, OpRegWrite, OpRegRMW:
-			ri := s.compiled.regIndex[op.Reg]
-			def := s.compiled.Program.Registers[ri]
-			idx, err := s.evalOperandIn(st, op.Index, act, frame)
-			if err != nil {
+			if err := s.regOp(st, op, params); err != nil {
 				return err
-			}
-			if idx >= uint64(def.Entries) {
-				s.bump(st, cntRegIndexWrap)
-				idx %= uint64(def.Entries)
-			}
-			switch op.Kind {
-			case OpRegRead:
-				slot, _, w, err := s.compiled.lookupRef(op.Dst, act)
-				if err != nil {
-					return err
-				}
-				s.regMu[ri].Lock()
-				v := s.regs[ri][idx]
-				s.regMu[ri].Unlock()
-				st.phv[slot] = v & mask(w)
-			case OpRegWrite:
-				v, err := s.evalOperandIn(st, op.A, act, frame)
-				if err != nil {
-					return err
-				}
-				s.regMu[ri].Lock()
-				s.regs[ri][idx] = v & mask(def.Width)
-				s.regMu[ri].Unlock()
-			case OpRegRMW:
-				a, err := s.evalOperandIn(st, op.A, act, frame)
-				if err != nil {
-					return err
-				}
-				slot, _, w, err := s.compiled.lookupRef(op.Dst, act)
-				if err != nil {
-					return err
-				}
-				// Hold the bank lock across the read-modify-write: the
-				// data plane's stateful ALU is atomic per packet, and the
-				// replay-floor RMWMax depends on it.
-				s.regMu[ri].Lock()
-				old := s.regs[ri][idx]
-				var next uint64
-				switch op.RMW {
-				case RMWAdd:
-					next = old + a
-				case RMWWrite:
-					next = a
-				case RMWMax:
-					next = old
-					if a > old {
-						next = a
-					}
-				case RMWXor:
-					next = old ^ a
-				}
-				s.regs[ri][idx] = next & mask(def.Width)
-				s.regMu[ri].Unlock()
-				st.phv[slot] = old & mask(w)
 			}
 		case OpRandom:
-			slot, _, w, err := s.compiled.lookupRef(op.Dst, act)
-			if err != nil {
-				return err
-			}
 			// The exec state's source: the base source on the serial path
 			// (RandomSource implementations are concurrency-safe), a
 			// per-lane deterministic fork under workers.
-			r := st.rng.Uint64()
-			st.phv[slot] = r & mask(w)
+			st.phv[op.dst] = st.rng.Uint64() & op.dmask
 		case OpSetValid:
-			hi := s.compiled.headerIndex[op.Header]
-			if !st.valid[hi] {
-				st.valid[hi] = true
-				for _, slot := range s.compiled.headerSlots[hi] {
-					st.phv[slot] = 0
-				}
+			if !st.valid[op.x] {
+				st.valid[op.x] = true
+				h := &s.compiled.headers[op.x]
+				clear(st.phv[h.slot : h.slot+h.fields])
 			}
 		case OpSetInvalid:
-			st.valid[s.compiled.headerIndex[op.Header]] = false
+			st.valid[op.x] = false
 		case OpApply:
-			if err := s.applyTable(st, op.Table); err != nil {
+			if err := s.apply(st, int(op.x)); err != nil {
 				return err
 			}
 		case OpIf:
-			take, err := s.evalCond(st, op.Cond, act, frame)
+			take, err := st.cond(op, params)
 			if err != nil {
 				return err
 			}
-			branch := op.Then
-			if !take {
-				branch = op.Else
+			branch := op.body[op.n:]
+			if take {
+				branch = op.body[:op.n]
 			}
-			if err := s.runOps(st, branch, actFrame); err != nil {
+			if err := s.exec(st, branch, params); err != nil {
 				return err
 			}
 		default:
-			return fmt.Errorf("pisa: runtime: unknown op kind %d", int(op.Kind))
+			return fmt.Errorf("pisa: runtime: unknown op kind %d", int(op.kind))
 		}
 	}
 	return nil
 }
 
-type opContext struct {
-	act   *Action
-	frame *execFrame
+// regOp runs a register read, write or read-modify-write. The index
+// wraps modulo the bank size (counted in reg_index_wrap).
+func (s *Switch) regOp(st *execState, op *rop, params []uint64) error {
+	bank := s.regs[op.x]
+	idx, err := st.eval(&op.b, params)
+	if err != nil {
+		return err
+	}
+	if idx >= uint64(len(bank)) {
+		s.bump(st, cntRegIndexWrap)
+		idx %= uint64(len(bank))
+	}
+	a, err := st.eval(&op.a, params)
+	if err != nil {
+		return err
+	}
+	// Hold the bank lock across the read-modify-write: the data plane's
+	// stateful ALU is atomic per packet, and the replay-floor RMWMax
+	// depends on it.
+	mu := &s.regMu[op.x]
+	mu.Lock()
+	old := bank[idx]
+	switch RMWKind(op.sub) {
+	case RMWAdd:
+		bank[idx] = (old + a) & op.rmask
+	case RMWWrite:
+		bank[idx] = a & op.rmask
+	case RMWMax:
+		if a > old {
+			bank[idx] = a & op.rmask
+		}
+	case RMWXor:
+		bank[idx] = (old ^ a) & op.rmask
+	}
+	mu.Unlock()
+	if op.dst >= 0 {
+		st.phv[op.dst] = old & op.dmask
+	}
+	return nil
 }
 
-func (s *Switch) evalCond(st *execState, cond Cond, act *Action, frame *execFrame) (bool, error) {
-	if cond.ValidHeader != "" {
-		v := st.valid[s.compiled.headerIndex[cond.ValidHeader]]
-		if cond.Negate {
-			v = !v
-		}
-		return v, nil
+// cond evaluates an OpIf's gateway condition.
+func (st *execState) cond(op *rop, params []uint64) (bool, error) {
+	if op.sub == 0 {
+		return st.valid[op.x] != op.flag, nil
 	}
-	l, err := s.evalOperandIn(st, cond.L, act, frame)
+	l, err := st.eval(&op.a, params)
 	if err != nil {
 		return false, err
 	}
-	r, err := s.evalOperandIn(st, cond.R, act, frame)
+	r, err := st.eval(&op.b, params)
 	if err != nil {
 		return false, err
 	}
 	var res bool
-	switch cond.Cmp {
+	switch CmpKind(op.sub) {
 	case CmpEq:
 		res = l == r
 	case CmpNe:
@@ -841,67 +759,43 @@ func (s *Switch) evalCond(st *execState, cond Cond, act *Action, frame *execFram
 	case CmpGe:
 		res = l >= r
 	}
-	if cond.Negate {
-		res = !res
-	}
-	return res, nil
+	return res != op.flag, nil
 }
 
-func (s *Switch) execHash(st *execState, op *Op, act *Action, frame *execFrame) (uint32, error) {
-	// Serialize inputs MSB-first at declared widths, then payload.
-	totalBits := 0
-	vals := st.hashVals[:0]
-	widths := st.hashWidths[:0]
-	for _, in := range op.Inputs {
-		v, err := s.evalOperandIn(st, in, act, frame)
+// hash serializes the inputs MSB-first at their widths (then the payload,
+// when asked) and digests them on the op's hash unit.
+func (s *Switch) hash(st *execState, op *rop, params []uint64) (uint32, error) {
+	buf := slices.Grow(st.hashBuf[:0], int(op.n))[:op.n]
+	clear(buf)
+	st.hashBuf = buf
+	off := 0
+	for i := range op.in {
+		in := &op.in[i]
+		v, err := st.eval(in, params)
 		if err != nil {
 			return 0, err
 		}
-		w := 64
-		if !in.IsConst {
-			_, _, fw, _ := s.compiled.lookupRef(in.Ref, act)
-			w = fw
-		}
-		vals = append(vals, v)
-		widths = append(widths, w)
-		totalBits += w
-	}
-	st.hashVals, st.hashWidths = vals, widths
-	nbytes := (totalBits + 7) / 8
-	if cap(st.hashBuf) < nbytes {
-		st.hashBuf = make([]byte, nbytes)
-	}
-	buf := st.hashBuf[:nbytes]
-	for i := range buf {
-		buf[i] = 0
-	}
-	off := 0
-	for i := range vals {
-		off = packBits(buf, off, vals[i]&mask(widths[i]), widths[i])
+		off = packBits(buf, off, v&mask(int(in.width)), int(in.width))
 	}
 	data := buf
-	if op.IncludePayload {
+	if op.flag {
 		st.hashData = append(append(st.hashData[:0], buf...), st.payload...)
 		data = st.hashData
 	}
-
-	var key uint64
-	if op.Key != nil {
-		k, err := s.evalOperandIn(st, *op.Key, act, frame)
-		if err != nil {
-			return 0, err
-		}
-		key = k
+	key, err := st.eval(&op.a, params)
+	if err != nil {
+		return 0, err
 	}
+	keyed := op.a.kind != valNone
 
-	switch op.Alg {
+	switch HashAlg(op.sub) {
 	case HashCRC32:
-		if op.Key != nil {
+		if keyed {
 			return s.keyedIEEE.Sum32(key, data), nil
 		}
 		return crc32.Checksum(data, s.crcIEEE), nil
 	case HashCRC32C:
-		if op.Key != nil {
+		if keyed {
 			return s.keyedCast.Sum32(key, data), nil
 		}
 		return crc32.Checksum(data, s.crcCast), nil
@@ -914,43 +808,34 @@ func (s *Switch) execHash(st *execState, op *Op, act *Action, frame *execFrame) 
 	case HashHalfSipHash:
 		return s.halfsip.Sum32(key, data), nil
 	default:
-		return 0, fmt.Errorf("pisa: runtime: unknown hash alg %d", int(op.Alg))
+		return 0, fmt.Errorf("pisa: runtime: unknown hash alg %d", op.sub)
 	}
 }
 
-func (s *Switch) applyTable(st *execState, name string) error {
-	ti := s.compiled.tableIndex[name]
-	ts := s.tables[ti]
-	def := ts.def
+// apply matches a table and runs the hit entry's action, or the default
+// action on a miss.
+func (s *Switch) apply(st *execState, ti int) error {
+	c := s.compiled
+	ts, rt := s.tables[ti], &c.tables[ti]
 	vals := st.keyVals[:0]
-	widths := st.keyWidths[:0]
-	for _, k := range def.Keys {
-		slot, _, w, err := s.compiled.lookupRef(k.Field, nil)
-		if err != nil {
-			return err
-		}
+	for _, slot := range rt.keys {
 		vals = append(vals, st.phv[slot])
-		widths = append(widths, w)
 	}
-	st.keyVals, st.keyWidths = vals, widths
-	entry, keyBuf := ts.lookup(vals, widths, st.keyBuf)
+	st.keyVals = vals
+	e, keyBuf := ts.lookup(vals, st.keyBuf)
 	st.keyBuf = keyBuf
-	actionName := def.Default
-	var params []uint64
-	if entry != nil {
-		actionName, params = entry.Action, entry.Params
-	} else if actionName != "" {
-		params = def.DefaultParams
+	ai, params := rt.dflt, ts.def.DefaultParams
+	if e != nil {
+		ai, params = e.act, e.Params
+		if ai < 0 {
+			return fmt.Errorf("pisa: table %s: entry references unknown action %q", ts.def.Name, e.Action)
+		}
 	}
-	if actionName == "" {
+	if ai < 0 {
 		return nil // miss with no default: no-op
 	}
-	a := s.compiled.Program.Action(actionName)
-	if a == nil {
-		return fmt.Errorf("pisa: table %s: entry references unknown action %q", name, actionName)
+	if a := c.Program.Actions[ai]; len(params) != len(a.Params) {
+		return fmt.Errorf("pisa: table %s action %s: %d params bound, want %d", ts.def.Name, a.Name, len(params), len(a.Params))
 	}
-	if len(params) != len(a.Params) {
-		return fmt.Errorf("pisa: table %s action %s: %d params bound, want %d", name, actionName, len(params), len(a.Params))
-	}
-	return s.runOps(st, a.Body, &opContext{act: a, frame: &execFrame{params: params}})
+	return s.exec(st, c.actions[ai], params)
 }

@@ -85,23 +85,21 @@ type Entry struct {
 // tableState is the runtime content of one table.
 type tableState struct {
 	def *Table
+	rt  *rtable
 	// exact index: concatenated key values -> entry
-	exact map[string]*Entry
+	exact map[string]*entry
 	// ordered entries for ternary/lpm scan
-	scan []*Entry
+	scan []*entry
 }
 
-func newTableState(def *Table) *tableState {
-	return &tableState{def: def, exact: make(map[string]*Entry)}
+// entry is an installed Entry with its action resolved to an index.
+type entry struct {
+	Entry
+	act int
 }
 
-func (ts *tableState) isExactOnly() bool {
-	for _, k := range ts.def.Keys {
-		if k.Match != MatchExact {
-			return false
-		}
-	}
-	return true
+func newTableState(def *Table, rt *rtable) *tableState {
+	return &tableState{def: def, rt: rt, exact: make(map[string]*entry)}
 }
 
 // appendExactKey appends the big-endian concatenation of vals to b — the
@@ -123,36 +121,35 @@ func (ts *tableState) insert(e Entry) error {
 	if len(e.Key) != len(ts.def.Keys) {
 		return fmt.Errorf("pisa: table %s: entry has %d key parts, want %d", ts.def.Name, len(e.Key), len(ts.def.Keys))
 	}
-	permitted := false
-	for _, a := range ts.def.Actions {
+	ec := &entry{Entry: e, act: -1}
+	for i, a := range ts.def.Actions {
 		if a == e.Action {
-			permitted = true
+			ec.act = ts.rt.acts[i]
 			break
 		}
 	}
-	if !permitted {
+	if ec.act < 0 {
 		return fmt.Errorf("pisa: table %s: action %q not permitted", ts.def.Name, e.Action)
 	}
 	if ts.entryCount() >= ts.def.Size {
 		return fmt.Errorf("pisa: table %s: full (%d entries)", ts.def.Name, ts.def.Size)
 	}
-	ec := e
 	ec.Key = append([]KeyMatch(nil), e.Key...)
 	ec.Params = append([]uint64(nil), e.Params...)
-	if ts.isExactOnly() {
+	if ts.rt.exact {
 		vals := make([]uint64, len(ec.Key))
 		for i, k := range ec.Key {
 			vals[i] = k.Value
 		}
-		ts.exact[exactKeyString(vals)] = &ec
+		ts.exact[exactKeyString(vals)] = ec
 		return nil
 	}
-	ts.scan = append(ts.scan, &ec)
+	ts.scan = append(ts.scan, ec)
 	return nil
 }
 
 func (ts *tableState) entryCount() int {
-	if ts.isExactOnly() {
+	if ts.rt.exact {
 		return len(ts.exact)
 	}
 	return len(ts.scan)
@@ -161,16 +158,16 @@ func (ts *tableState) entryCount() int {
 // lookup finds the matching entry for the key values, or nil on miss.
 // keyBuf is caller-owned scratch for the exact-match key bytes; the
 // (possibly grown) buffer is returned so the caller can keep it.
-func (ts *tableState) lookup(vals []uint64, widths []int, keyBuf []byte) (*Entry, []byte) {
-	if ts.isExactOnly() {
+func (ts *tableState) lookup(vals []uint64, keyBuf []byte) (*entry, []byte) {
+	if ts.rt.exact {
 		keyBuf = appendExactKey(keyBuf[:0], vals)
 		// string(keyBuf) in the index expression does not allocate.
 		return ts.exact[string(keyBuf)], keyBuf
 	}
-	var best *Entry
+	var best *entry
 	bestPrio, bestPrefix := -1, -1
 	for _, e := range ts.scan {
-		if !ts.entryMatches(e, vals, widths) {
+		if !ts.entryMatches(e, vals) {
 			continue
 		}
 		prefix := 0
@@ -186,7 +183,7 @@ func (ts *tableState) lookup(vals []uint64, widths []int, keyBuf []byte) (*Entry
 	return best, keyBuf
 }
 
-func (ts *tableState) entryMatches(e *Entry, vals []uint64, widths []int) bool {
+func (ts *tableState) entryMatches(e *entry, vals []uint64) bool {
 	for i, k := range ts.def.Keys {
 		km := e.Key[i]
 		switch k.Match {
@@ -199,7 +196,7 @@ func (ts *tableState) entryMatches(e *Entry, vals []uint64, widths []int) bool {
 				return false
 			}
 		case MatchLPM:
-			w := widths[i]
+			w := ts.rt.widths[i]
 			if km.PrefixLen > w {
 				return false
 			}
@@ -213,7 +210,7 @@ func (ts *tableState) entryMatches(e *Entry, vals []uint64, widths []int) bool {
 }
 
 func (ts *tableState) clear() {
-	ts.exact = make(map[string]*Entry)
+	ts.exact = make(map[string]*entry)
 	ts.scan = nil
 }
 
@@ -234,7 +231,7 @@ func (ts *tableState) remove(key []KeyMatch) error {
 	if len(key) != len(ts.def.Keys) {
 		return fmt.Errorf("pisa: table %s: delete key has %d parts, want %d", ts.def.Name, len(key), len(ts.def.Keys))
 	}
-	if ts.isExactOnly() {
+	if ts.rt.exact {
 		vals := make([]uint64, len(key))
 		for i, k := range key {
 			vals[i] = k.Value

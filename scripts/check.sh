@@ -1,16 +1,48 @@
 #!/bin/sh
-# Full verification gate: build, vet, race-enabled tests, then the
-# independent chaos/stress/coverage/fuzz/bench gates concurrently.
-# Mirrors `make check` for environments without make.
+# Full verification gate: build, vet, race-enabled tests, then every gate
+# in the catalogue (scripts/gates) concurrently. `make check` runs this
+# script; it also works where make is not installed.
+#
+#   scripts/check.sh          the full gate
+#   scripts/check.sh NAME...  only the named catalogue gates, in order
 #
 # The serial prefix (build, vet, race) establishes a compiling,
-# race-clean tree; everything after it only re-runs subsets with fixed
-# seeds or fresh interleavings, so those gates share no state and run in
+# race-clean tree; every catalogue gate only re-runs subsets with fixed
+# seeds or fresh interleavings, so the gates share no state and run in
 # parallel. Each gate's output is line-prefixed with its name; the
 # script fails if any gate fails, after letting all of them finish.
 set -eu
 
 cd "$(dirname "$0")/.."
+
+tab="$(printf '\t')"
+
+# gates prints the catalogue's "NAME<tab>COMMAND" lines.
+gates() {
+    grep -v '^#' scripts/gates | grep "$tab"
+}
+
+# command_of NAME prints the catalogued command of gate NAME.
+command_of() {
+    gates | while IFS="$tab" read -r name cmd; do
+        if [ "$name" = "$1" ]; then
+            printf '%s\n' "$cmd"
+        fi
+    done
+}
+
+if [ "$#" -gt 0 ]; then
+    for name in "$@"; do
+        cmd="$(command_of "$name")"
+        if [ -z "$cmd" ]; then
+            echo "check.sh: no gate named $name in scripts/gates" >&2
+            exit 2
+        fi
+        echo "== $name: $cmd"
+        sh -c "$cmd"
+    done
+    exit 0
+fi
 
 echo "== go build ./..."
 go build ./...
@@ -21,58 +53,18 @@ go vet ./...
 echo "== go test -race ./..."
 go test -race ./...
 
-# Gate catalogue (name + command), run concurrently below:
-#
-#   chaos         deterministic crash/recovery smoke with fixed seeds
-#                 (controller kills and switch crashes mid-rollover,
-#                 mid-register-write, mid-port-key-init)
-#   fabric-chaos  seeded link flaps, partitions, one-sided rollovers
-#                 against the self-healing DP-DP fabric
-#   ha-chaos      controller-kill-under-sharded-load and split-brain
-#                 against the lease-fenced active/standby pair: zero
-#                 forged or stale-fenced writes applied, bounded
-#                 failover, reconciled audit, bit-identical traces
-#   group-chaos   rolling kills across 3-5 ranked replicas, store
-#                 outages against the bounded-staleness fence, and
-#                 multi-way lease acquisition races: same invariants as
-#                 ha-chaos plus at most one fenced-active per instant
-#                 and fail-safe fencing when the grace runs out
-#   matrix-chaos  the app × fault × protection survival matrix at k=4
-#                 with the default seed: zero forged operations applied
-#                 in every protected cell, measurable corruption in
-#                 every unprotected attacked cell, trace bit-identical
-#                 to the checked-in golden, determinism reruns
-#   hierarchy-chaos  the two-tier control plane (per-pod shard groups +
-#                 global key broker) under forged/torn broker frames,
-#                 WAN latency spikes, an asymmetric partition, and a
-#                 global-tier kill + election: zero forged operations
-#                 applied, no cross-pod key without a fenced grant,
-#                 graceful degradation on cached keys, bounded
-#                 re-convergence, bit-identical traces per seed
-#   stress        pipelined writers vs concurrent rollovers under fault
-#                 taps, the sharded-switch suite, the sharded netsim
-#                 engine, and the HA failover stress (-count=1 for
-#                 fresh interleavings)
-#   pisa-race     the parallel data plane (worker pool, sharded
-#                 counters, batch ingress) under the race detector with
-#                 fresh interleavings
-#   cover         >= 85% coverage floor on core, crypto, obs
-#   fuzz-smoke    10s of mutation per codec fuzz target over the
-#                 checked-in seed corpora
-#   bench-smoke   the zero-allocation hot path through the real
-#                 benchmark harness
-echo "== concurrent gates (chaos, fabric-chaos, ha-chaos, group-chaos, matrix-chaos, hierarchy-chaos, stress, pisa-race, cover, fuzz-smoke, bench-smoke)"
+names="$(gates | cut -f1 | tr '\n' ' ')"
+echo "== concurrent gates ($names)"
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-# run NAME CMD...: run a gate in the background, prefixing every output
-# line with [NAME] and recording its exit status in $tmp/NAME.status.
+# run NAME CMD: run a gate in the background, prefixing every output line
+# with [NAME] and recording its exit status in $tmp/NAME.status.
 run() {
     name="$1"
-    shift
     {
-        if "$@" 2>&1; then
+        if sh -c "$2" 2>&1; then
             echo 0 >"$tmp/$name.status"
         else
             echo 1 >"$tmp/$name.status"
@@ -80,22 +72,17 @@ run() {
     } | sed "s/^/[$name] /" &
 }
 
-run chaos        go test -race -count=1 -run 'TestChaosShort|TestChaosDeterminism' ./internal/netsim/chaos/
-run fabric-chaos go test -race -count=1 -run 'TestFabricShort|TestFabricDeterminism' ./internal/netsim/chaos/
-run ha-chaos     go test -race -count=1 -run 'TestHAShort|TestHADeterminism' ./internal/netsim/chaos/
-run group-chaos  go test -race -count=1 -run 'TestGroupShort|TestGroupDeterminism' ./internal/netsim/chaos/
-run matrix-chaos go test -race -count=1 -run 'TestMatrixChaos|TestMatrixDeterminism' ./internal/fleet/
-run hierarchy-chaos go test -race -count=1 -run 'TestHierarchyChaos|TestHierarchyDeterminism' ./internal/hierarchy/
-run stress       go test -race -count=1 ./internal/controller/ ./internal/pisa/ ./internal/ha/ ./internal/netsim/
-run pisa-race    go test -race -count=1 ./internal/pisa/...
-run cover        ./scripts/cover.sh
-run fuzz-smoke   ./scripts/fuzz_smoke.sh
-run bench-smoke  go test -bench=BenchmarkAuthenticatedWrite -benchtime=10x -run '^$' -short .
+# The loop reads the catalogue from a file, not a pipe, so the
+# background gates are children of this shell and `wait` waits for them.
+gates >"$tmp/catalogue"
+while IFS="$tab" read -r name cmd; do
+    run "$name" "$cmd"
+done <"$tmp/catalogue"
 
 wait
 
 failed=0
-for name in chaos fabric-chaos ha-chaos group-chaos matrix-chaos hierarchy-chaos stress pisa-race cover fuzz-smoke bench-smoke; do
+for name in $names; do
     status="$(cat "$tmp/$name.status" 2>/dev/null || echo 1)"
     if [ "$status" != 0 ]; then
         echo "== FAILED: $name"
