@@ -114,6 +114,13 @@ type swHandle struct {
 	gGot      []uint32
 	gOK       []bool
 	gIdx      []int
+	// Windowed-transport scratch (runBatch): in-flight entries by
+	// sequence number, the current window and its wire bytes, and the
+	// slab every entry's encoded request is carved from.
+	bySeq    map[uint32]*batchEntry
+	open     []*batchEntry
+	wires    [][]byte
+	wireSlab []byte
 }
 
 type portKey struct {

@@ -3,6 +3,7 @@ package controller
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"p4auth/internal/core"
@@ -171,9 +172,19 @@ func (c *Controller) runBatch(h *swHandle, entries []batchEntry, window int) Bat
 		return c.finishBatch(h, &br, entries)
 	}
 
-	bySeq := make(map[uint32]*batchEntry, window)
-	wires := make([][]byte, 0, window)
-	open := make([]*batchEntry, 0, window)
+	if h.bySeq == nil {
+		h.bySeq = make(map[uint32]*batchEntry, window)
+	}
+	bySeq, wires, open := h.bySeq, h.wires[:0], h.open[:0]
+	clear(bySeq)
+	// Every entry encodes into its own fixed slice of one slab, so a
+	// (re)sign never grows a buffer.
+	n := len(entries) * core.RegMessageBytes
+	h.wireSlab = slices.Grow(h.wireSlab[:0], n)[:n]
+	for i := range entries {
+		off := i * core.RegMessageBytes
+		entries[i].wire = h.wireSlab[off : off : off+core.RegMessageBytes]
+	}
 	timedOut := false
 	// floorSeen is the controller's lower bound on the switch's replay
 	// floor: the highest sequence number the switch has provably accepted
@@ -347,6 +358,7 @@ func (c *Controller) runBatch(h *swHandle, entries []batchEntry, window int) Bat
 			}
 		}
 	}
+	h.wires, h.open = wires, open
 
 	if c.resilient() {
 		if timedOut {

@@ -5,6 +5,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -168,6 +169,10 @@ func TestKeyStoreConcurrentAccess(t *testing.T) {
 		return k == txnSeed || (k&0xFFFF0000) == 0xABCD0000
 	}
 
+	// bumps counts successful Install/Commit calls on slot 0. Slot 0
+	// starts established at version 0 and each of them advances the uint8
+	// version tag by one, wrapping past 255 by design.
+	var bumps atomic.Uint64
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -180,6 +185,9 @@ func TestKeyStoreConcurrentAccess(t *testing.T) {
 					if _, err := ks.Install(slot, 0xABCD0000|uint64(g)<<8|uint64(i%256)); err != nil {
 						t.Errorf("Install: %v", err)
 						return
+					}
+					if slot == KeyIndexLocal {
+						bumps.Add(1)
 					}
 				case 1:
 					key, _, err := ks.Current(slot)
@@ -204,9 +212,8 @@ func TestKeyStoreConcurrentAccess(t *testing.T) {
 					// Commit may legitimately race with another goroutine's
 					// Install/Abort clearing the staging; only the error path
 					// is asserted elsewhere.
-					if v, err := ks.Commit(slot); err == nil && v == 0 && slot == KeyIndexLocal {
-						t.Errorf("Commit returned version 0 on an established slot")
-						return
+					if _, err := ks.Commit(slot); err == nil && slot == KeyIndexLocal {
+						bumps.Add(1)
 					}
 				case 5:
 					if err := ks.Abort(slot); err != nil {
@@ -220,4 +227,11 @@ func TestKeyStoreConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	_, version, err := ks.Current(KeyIndexLocal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := uint8(bumps.Load()); version != want {
+		t.Fatalf("slot 0 version = %d after %d Install/Commit calls, want %d", version, bumps.Load(), want)
+	}
 }

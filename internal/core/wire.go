@@ -203,6 +203,10 @@ const (
 	kxWireBytes   = 15 // port(2) pk(8) salt(4) phase(1)
 )
 
+// RegMessageBytes is the encoded size of a register message (ptype + pa_h
+// + pa_reg), what AppendEncode appends for a message carrying Reg.
+const RegMessageBytes = 1 + authWireBytes + regWireBytes
+
 // AppendEncode serializes ptype + pa_h + payload into dst and returns the
 // extended slice. It never allocates beyond growing dst.
 func (m *Message) AppendEncode(dst []byte) []byte {

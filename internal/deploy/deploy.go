@@ -31,8 +31,10 @@ type SwitchSpec struct {
 	Costs *switchos.Costs
 	// RandSeed seeds the data plane's random() extern.
 	RandSeed uint64
-	// Workers is the ingress worker count behind the switch's batch path
-	// (pisa.WithWorkers); 0 or 1 builds the strictly serial switch.
+	// Workers is the number of modeled ingress lanes behind the switch's
+	// batch path (pisa.WithWorkers): a batch costs its slowest lane, and
+	// the lanes run in order on the caller's goroutine. 0 or 1 builds the
+	// strictly serial switch.
 	Workers int
 	// Config overrides the derived default config when non-nil.
 	Config *core.Config

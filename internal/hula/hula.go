@@ -88,8 +88,10 @@ type Params struct {
 	DecayShiftDiv uint64
 	// Secure weaves P4Auth in; probes are then authenticated per hop.
 	Secure bool
-	// Workers is the ingress worker count behind the switch's batch path
-	// (pisa.WithWorkers); 0 or 1 builds the strictly serial switch.
+	// Workers is the number of modeled ingress lanes behind the switch's
+	// batch path (pisa.WithWorkers): a batch costs its slowest lane, and
+	// the lanes run in order on the caller's goroutine. 0 or 1 builds the
+	// strictly serial switch.
 	Workers int
 }
 

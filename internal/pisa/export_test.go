@@ -17,9 +17,10 @@ func L3TestSwitch(tb testing.TB) *Switch { return newTestSwitch(tb, TofinoProfil
 
 // Twin returns a new switch on the same compilation holding a copy of
 // s's runtime state (table entries, registers, multicast groups, clock),
-// with its random() source seeded with seed and its counters at zero.
-func (s *Switch) Twin(seed uint64) *Switch {
-	t := NewSwitchFromCompiled(s.compiled, WithRandom(crypto.NewSeededRand(seed)))
+// with its random() source seeded with seed, its counters at zero, and
+// opts applied after the seed.
+func (s *Switch) Twin(seed uint64, opts ...Option) *Switch {
+	t := NewSwitchFromCompiled(s.compiled, append([]Option{WithRandom(crypto.NewSeededRand(seed))}, opts...)...)
 	s.stateMu.RLock()
 	defer s.stateMu.RUnlock()
 	// Every entry s holds passed insert's checks on this same table, so
@@ -36,9 +37,9 @@ func (s *Switch) Twin(seed uint64) *Switch {
 		t.mcast[g] = append([]int(nil), ports...)
 	}
 	for i := range s.regs {
-		s.regMu[i].Lock()
-		copy(t.regs[i], s.regs[i])
-		s.regMu[i].Unlock()
+		for j := range s.regs[i] {
+			t.regs[i][j].Store(s.regs[i][j].Load())
+		}
 	}
 	t.now.Store(s.now.Load())
 	return t
@@ -48,9 +49,34 @@ func (s *Switch) Twin(seed uint64) *Switch {
 func (s *Switch) RegisterBanks() [][]uint64 {
 	out := make([][]uint64, len(s.regs))
 	for i := range s.regs {
-		s.regMu[i].Lock()
-		out[i] = append([]uint64(nil), s.regs[i]...)
-		s.regMu[i].Unlock()
+		out[i] = make([]uint64, len(s.regs[i]))
+		for j := range s.regs[i] {
+			out[i][j] = s.regs[i][j].Load()
+		}
+	}
+	return out
+}
+
+// CounterShardCount is the number of diagnostic-counter shards; ingress
+// lane L bumps shard L mod CounterShardCount.
+const CounterShardCount = counterShardCount
+
+// ProcessWith is ProcessInto with the random() source and counter shard
+// an ingress lane would use.
+func (s *Switch) ProcessWith(pkt Packet, res *Result, rng crypto.RandomSource, shard uint32) error {
+	s.stateMu.RLock()
+	defer s.stateMu.RUnlock()
+	return s.processInto(pkt, res, rng, shard)
+}
+
+// CounterShards returns every counter shard's cells, indexed by shard
+// then counter ID.
+func (s *Switch) CounterShards() [][]uint64 {
+	out := make([][]uint64, len(s.shards))
+	for i := range s.shards {
+		for id := range s.shards[i].cells {
+			out[i] = append(out[i], s.shards[i].cells[id].Load())
+		}
 	}
 	return out
 }

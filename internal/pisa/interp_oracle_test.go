@@ -317,18 +317,14 @@ func (s *Switch) oracleRunOps(st *execState, ops []Op, actFrame *opContext) erro
 				if err != nil {
 					return err
 				}
-				s.regMu[ri].Lock()
-				v := s.regs[ri][idx]
-				s.regMu[ri].Unlock()
+				v := s.regs[ri][idx].Load()
 				st.phv[slot] = v & mask(w)
 			case OpRegWrite:
 				v, err := s.oracleEval(st, op.A, act, frame)
 				if err != nil {
 					return err
 				}
-				s.regMu[ri].Lock()
-				s.regs[ri][idx] = v & mask(def.Width)
-				s.regMu[ri].Unlock()
+				s.regs[ri][idx].Store(v & mask(def.Width))
 			case OpRegRMW:
 				a, err := s.oracleEval(st, op.A, act, frame)
 				if err != nil {
@@ -338,28 +334,32 @@ func (s *Switch) oracleRunOps(st *execState, ops []Op, actFrame *opContext) erro
 				if err != nil {
 					return err
 				}
-				// Hold the bank lock across the read-modify-write: the
-				// data plane's stateful ALU is atomic per packet, and the
-				// replay-floor RMWMax depends on it.
-				s.regMu[ri].Lock()
-				old := s.regs[ri][idx]
-				var next uint64
-				switch op.RMW {
-				case RMWAdd:
-					next = old + a
-				case RMWWrite:
-					next = a
-				case RMWMax:
-					next = old
-					if a > old {
+				// A compare-and-swap loop keeps the read-modify-write one
+				// atomic step on its cell: the data plane's stateful ALU is
+				// atomic per packet, and the replay-floor RMWMax depends
+				// on it.
+				cell := &s.regs[ri][idx]
+				for {
+					old := cell.Load()
+					var next uint64
+					switch op.RMW {
+					case RMWAdd:
+						next = old + a
+					case RMWWrite:
 						next = a
+					case RMWMax:
+						next = old
+						if a > old {
+							next = a
+						}
+					case RMWXor:
+						next = old ^ a
 					}
-				case RMWXor:
-					next = old ^ a
+					if cell.CompareAndSwap(old, next&mask(def.Width)) {
+						st.phv[slot] = old & mask(w)
+						break
+					}
 				}
-				s.regs[ri][idx] = next & mask(def.Width)
-				s.regMu[ri].Unlock()
-				st.phv[slot] = old & mask(w)
 			}
 		case OpRandom:
 			slot, _, w, err := s.compiled.lookupRef(op.Dst, act)

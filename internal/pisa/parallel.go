@@ -1,32 +1,33 @@
 package pisa
 
 import (
-	"sync"
 	"time"
 
 	"p4auth/internal/crypto"
 )
 
-// Per-port ingress workers and the batch processing entry.
+// Ingress lanes and the batch processing entry.
 //
-// Parallelism model: packets are assigned to lanes by ingress port
-// (lane = port mod workers), so every packet stream that shares a port —
-// and therefore shares a port key, a replay-floor slot, and a sequence
-// number order — is processed by exactly one lane, in submission order.
-// That is what keeps the replay defence correct under parallelism: the
-// RMWMax floor on a slot only ever observes the ascending sequence
-// numbers its sender produced, never a reordering introduced by the
-// switch. Cross-lane state (tables, registers, counters) keeps its
-// existing synchronization (stateMu read side, per-bank regMu, sharded
-// atomic counter cells), so lanes never race.
+// Lane model: a switch built WithWorkers(n) models n ingress pipes.
+// Packets are assigned to lanes by ingress port (lane = port mod n), so
+// every packet stream that shares a port — and therefore shares a port
+// key, a replay-floor slot, and a sequence number order — is processed by
+// exactly one lane, in submission order. That is what keeps the replay
+// defence correct: the RMWMax floor on a slot only ever observes the
+// ascending sequence numbers its sender produced, never a reordering
+// introduced by the switch. Each lane draws random() from its own
+// deterministic fork of the switch seed (crypto.Forkable) and bumps its
+// own counter shard, and a batch's modeled cost is the slowest lane's
+// summed cost, as if the pipes ran side by side.
 //
-// Determinism: with workers <= 1 ProcessBatch is a plain loop over
-// ProcessInto on the caller's goroutine — bit-identical to the serial
-// data plane, including the random() draw order, which is why the chaos
-// harnesses keep their golden traces. With workers > 1, each lane draws
-// from a deterministic fork of the switch seed (crypto.Forkable), so a
-// run's outputs depend only on (seed, workers, batch contents), not on
-// goroutine scheduling.
+// ProcessBatch runs the lanes one after another, lane 0 first, on the
+// caller's goroutine. Lanes that share state (a register cell two ports
+// both write, such as HULA's best hop) therefore interact in one fixed
+// order, and a run's outputs depend only on (seed, workers, batch
+// contents). With workers <= 1, or a batch of one packet, ProcessBatch is
+// a plain ProcessInto loop — bit-identical to the serial data plane,
+// including the random() draw order from the base source, which is why
+// the chaos harnesses keep their golden traces.
 
 // BatchResult holds the outcome of one ProcessBatch call.
 //
@@ -55,74 +56,29 @@ func (br *BatchResult) prep(n int) {
 	br.Results = br.Results[:n]
 }
 
-// lane is one ingress worker: a persistent goroutine, its deterministic
-// random fork, and its per-batch work list and accumulators.
+// lane is one modeled ingress pipe: its deterministic random fork and
+// counter shard.
 type lane struct {
-	s     *Switch
-	shard uint32
 	rng   crypto.RandomSource
-
-	idx  []int // indices into the current batch, in input order
-	cost time.Duration
-	err  error
-	errAt int
-
-	wake chan struct{}
+	shard uint32
 }
 
-// workerPool owns the persistent lane goroutines. The current batch's
-// inputs/outputs are published in pkts/results before the wake sends and
-// read back after done.Wait(); the channel and WaitGroup provide the
-// happens-before edges.
-type workerPool struct {
-	lanes   []*lane
-	pkts    []Packet
-	results []Result
-	done    sync.WaitGroup
-
-	closeOnce sync.Once
-}
-
-// newWorkerPool spawns s.workers persistent ingress workers. Lane RNGs
-// fork deterministically from the switch's base source when it supports
-// forking; otherwise the (concurrency-safe) base source is shared, which
-// stays correct but makes the cross-lane draw order scheduling-dependent.
-func newWorkerPool(s *Switch) *workerPool {
-	p := &workerPool{lanes: make([]*lane, s.workers)}
-	for i := range p.lanes {
+// newLanes builds s.workers lanes. Lane RNGs fork deterministically from
+// the switch's base source when it supports forking; otherwise the
+// (concurrency-safe) base source is shared.
+func newLanes(s *Switch) []lane {
+	lanes := make([]lane, s.workers)
+	for i := range lanes {
 		rng := s.rng
 		if f, ok := s.rng.(crypto.Forkable); ok {
 			rng = f.Fork(uint64(i))
 		}
-		ln := &lane{
-			s:     s,
-			shard: uint32(i) % counterShardCount,
-			rng:   rng,
-			wake:  make(chan struct{}),
-		}
-		p.lanes[i] = ln
-		go ln.run(p)
+		lanes[i] = lane{rng: rng, shard: uint32(i) % counterShardCount}
 	}
-	return p
+	return lanes
 }
 
-func (ln *lane) run(p *workerPool) {
-	for range ln.wake {
-		ln.cost, ln.err, ln.errAt = 0, nil, -1
-		for _, i := range ln.idx {
-			if err := ln.s.processInto(p.pkts[i], &p.results[i], ln.rng, ln.shard); err != nil {
-				if ln.err == nil {
-					ln.err, ln.errAt = err, i
-				}
-				continue
-			}
-			ln.cost += p.results[i].Cost
-		}
-		p.done.Done()
-	}
-}
-
-// Workers reports the configured ingress worker count (1 for a serial
+// Workers reports the configured ingress lane count (1 for a serial
 // switch).
 func (s *Switch) Workers() int {
 	if s.workers < 1 {
@@ -131,35 +87,29 @@ func (s *Switch) Workers() int {
 	return s.workers
 }
 
-// Close stops the ingress workers (if any). It is idempotent and safe on
-// a serial switch; ProcessBatch must not be called after Close.
-func (s *Switch) Close() {
-	if s.pool == nil {
-		return
-	}
-	s.pool.closeOnce.Do(func() {
-		for _, ln := range s.pool.lanes {
-			close(ln.wake)
-		}
-	})
-}
+// Close releases nothing: lanes run on the caller's goroutine, so a
+// switch holds no goroutines or other resources. It is kept so callers
+// may treat every switch alike; the switch stays usable after Close.
+func (s *Switch) Close() {}
 
 // ProcessBatch runs a batch of packets through the pipeline, one Result
 // per packet (see BatchResult's buffer-stability contract). Packets
-// sharing an ingress port are processed in input order; distinct ports
-// may proceed concurrently on a worker-backed switch. A per-packet
-// failure does not stop the rest of the batch: the first error (lowest
-// input index) is returned, the failed packet's Result is undefined, and
-// every other packet completes normally.
+// sharing an ingress port are processed in input order, lane by lane. A
+// per-packet failure does not stop the rest of the batch: the first error
+// (lowest input index) is returned, the failed packet's Result is
+// undefined, and every other packet completes normally.
 func (s *Switch) ProcessBatch(pkts []Packet, br *BatchResult) error {
 	br.prep(len(pkts))
 	br.Cost = 0
-	if s.pool == nil || len(pkts) <= 1 {
+	s.stateMu.RLock()
+	defer s.stateMu.RUnlock()
+
+	if len(s.lanes) == 0 || len(pkts) <= 1 {
 		// Serial: identical to a caller's own ProcessInto loop, including
 		// random() draw order from the base source.
 		var firstErr error
 		for i := range pkts {
-			if err := s.ProcessInto(pkts[i], &br.Results[i]); err != nil {
+			if err := s.processInto(pkts[i], &br.Results[i], s.rng, 0); err != nil {
 				if firstErr == nil {
 					firstErr = err
 				}
@@ -170,31 +120,25 @@ func (s *Switch) ProcessBatch(pkts []Packet, br *BatchResult) error {
 		return firstErr
 	}
 
-	p := s.pool
-	for _, ln := range p.lanes {
-		ln.idx = ln.idx[:0]
-	}
-	for i := range pkts {
-		ln := p.lanes[uint(pkts[i].Port)%uint(len(p.lanes))]
-		ln.idx = append(ln.idx, i)
-	}
-	p.pkts, p.results = pkts, br.Results
-	p.done.Add(len(p.lanes))
-	for _, ln := range p.lanes {
-		ln.wake <- struct{}{}
-	}
-	p.done.Wait()
-	p.pkts, p.results = nil, nil
-
 	var firstErr error
 	errAt := -1
-	for _, ln := range p.lanes {
-		if ln.cost > br.Cost {
-			br.Cost = ln.cost
+	n := uint(len(s.lanes))
+	for li := range s.lanes {
+		ln := &s.lanes[li]
+		var cost time.Duration
+		for i := range pkts {
+			if uint(pkts[i].Port)%n != uint(li) {
+				continue
+			}
+			if err := s.processInto(pkts[i], &br.Results[i], ln.rng, ln.shard); err != nil {
+				if errAt < 0 || i < errAt {
+					firstErr, errAt = err, i
+				}
+				continue
+			}
+			cost += br.Results[i].Cost
 		}
-		if ln.err != nil && (errAt < 0 || ln.errAt < errAt) {
-			firstErr, errAt = ln.err, ln.errAt
-		}
+		br.Cost = max(br.Cost, cost)
 	}
 	return firstErr
 }

@@ -45,10 +45,11 @@ type Result struct {
 // (table entries, register values, multicast groups). All methods are safe
 // for concurrent use. State is sharded so concurrent Process calls
 // overlap: table/multicast mutations take a write lock that packet
-// processing reads, register banks have per-register locks (register
-// read-modify-writes — the replay-floor RMWMax — stay atomic), diagnostic
-// counters are lock-free sharded atomics, and each in-flight packet draws
-// randomness from its own execution state's source.
+// processing reads, register cells are atomic words (each register read,
+// write or read-modify-write — the replay-floor RMWMax — is one atomic
+// operation on its cell), diagnostic counters are lock-free sharded
+// atomics, and each in-flight packet draws randomness from its own
+// execution state's source.
 type Switch struct {
 	compiled *Compiled
 
@@ -58,10 +59,8 @@ type Switch struct {
 	tables  []*tableState
 	mcast   map[uint64][]int
 
-	// regMu[i] guards regs[i]; RMW sequences hold the lock across
-	// read-modify-write so data-plane atomics keep their semantics.
-	regMu []sync.Mutex
-	regs  [][]uint64
+	// regs holds the register banks, one atomic word per cell.
+	regs [][]atomic.Uint64
 
 	// shards are the diagnostic-counter cells: each ingress lane bumps its
 	// own cache-line-padded shard, reads aggregate across all of them.
@@ -71,7 +70,7 @@ type Switch struct {
 	mirror atomic.Pointer[[numDPCounters]*obs.Counter]
 
 	// rng is the base random source backing the P4 random() extern. The
-	// serial path draws from it directly (in packet order); worker lanes
+	// serial path draws from it directly (in packet order); ingress lanes
 	// draw from deterministic per-lane forks (see parallel.go).
 	rng crypto.RandomSource
 
@@ -87,10 +86,10 @@ type Switch struct {
 	// hash/table scratch) so steady-state Process does not allocate.
 	execPool sync.Pool
 
-	// workers/pool: the per-port ingress worker pool behind ProcessBatch
+	// workers/lanes: the per-port ingress lanes behind ProcessBatch
 	// (parallel.go). workers <= 1 means the strictly serial data plane.
 	workers int
-	pool    *workerPool
+	lanes   []lane
 }
 
 // SetNow sets the ingress timestamp (nanoseconds) stamped into
@@ -106,13 +105,15 @@ func WithRandom(r crypto.RandomSource) Option {
 	return func(s *Switch) { s.rng = r }
 }
 
-// WithWorkers sets the ingress worker count used by ProcessBatch. n <= 1
-// (the default) keeps the switch strictly serial: every packet runs on
-// the caller's goroutine in submission order, bit-identical to the
-// pre-parallel data plane. n > 1 spawns n persistent ingress workers;
-// ProcessBatch assigns packets to lanes by ingress port (port-affinity),
-// so per-port replay floors still observe strictly ascending sequence
-// numbers. Call Close when done with a worker-backed switch.
+// WithWorkers sets the number of modeled ingress pipes (lanes) used by
+// ProcessBatch. n <= 1 (the default) keeps the switch strictly serial:
+// every packet runs in submission order, bit-identical to the
+// pre-parallel data plane. With n > 1 ProcessBatch assigns packets to
+// lanes by ingress port (port-affinity), so per-port replay floors still
+// observe strictly ascending sequence numbers; each lane has its own
+// random() fork and counter shard, and a batch costs its slowest lane.
+// Lanes run in lane order on the caller's goroutine; no goroutines are
+// started.
 func WithWorkers(n int) Option {
 	return func(s *Switch) { s.workers = n }
 }
@@ -144,9 +145,8 @@ func NewSwitchFromCompiled(compiled *Compiled, opts ...Option) *Switch {
 		s.tables = append(s.tables, newTableState(t, &compiled.tables[i]))
 	}
 	for _, r := range compiled.Program.Registers {
-		s.regs = append(s.regs, make([]uint64, r.Entries))
+		s.regs = append(s.regs, make([]atomic.Uint64, r.Entries))
 	}
-	s.regMu = make([]sync.Mutex, len(s.regs))
 	s.execPool.New = func() any {
 		return &execState{
 			phv:   make([]uint64, len(compiled.slotWidth)),
@@ -157,7 +157,7 @@ func NewSwitchFromCompiled(compiled *Compiled, opts ...Option) *Switch {
 		o(s)
 	}
 	if s.workers > 1 {
-		s.pool = newWorkerPool(s)
+		s.lanes = newLanes(s)
 	}
 	return s
 }
@@ -210,10 +210,7 @@ func (s *Switch) RegisterRead(name string, index int) (uint64, error) {
 	if index < 0 || index >= len(s.regs[ri]) {
 		return 0, fmt.Errorf("pisa: register %s index %d out of range [0,%d)", name, index, len(s.regs[ri]))
 	}
-	s.regMu[ri].Lock()
-	v := s.regs[ri][index]
-	s.regMu[ri].Unlock()
-	return v, nil
+	return s.regs[ri][index].Load(), nil
 }
 
 // RegisterWrite writes a register entry directly (the driver path).
@@ -226,9 +223,7 @@ func (s *Switch) RegisterWrite(name string, index int, v uint64) error {
 		return fmt.Errorf("pisa: register %s index %d out of range [0,%d)", name, index, len(s.regs[ri]))
 	}
 	def := s.compiled.Program.Registers[ri]
-	s.regMu[ri].Lock()
-	s.regs[ri][index] = v & mask(def.Width)
-	s.regMu[ri].Unlock()
+	s.regs[ri][index].Store(v & mask(def.Width))
 	return nil
 }
 
@@ -398,17 +393,17 @@ func (s *Switch) Process(pkt Packet) (Result, error) {
 // until the next ProcessInto on the same Result. On error the contents of
 // res are undefined.
 func (s *Switch) ProcessInto(pkt Packet, res *Result) error {
+	s.stateMu.RLock()
+	defer s.stateMu.RUnlock()
 	return s.processInto(pkt, res, s.rng, 0)
 }
 
-// processInto is ProcessInto with the packet's random source and counter
-// shard chosen by the caller: the serial path passes the switch's base
-// source and shard 0, worker lanes pass their deterministic fork and lane
-// shard. It runs the compiled program's resolved forms only.
+// processInto is ProcessInto's body, run under the caller's stateMu read
+// lock, with the packet's random source and counter shard chosen by the
+// caller: the serial path passes the switch's base source and shard 0,
+// ingress lanes pass their deterministic fork and lane shard. It runs the
+// compiled program's resolved forms only.
 func (s *Switch) processInto(pkt Packet, res *Result, rng crypto.RandomSource, shard uint32) error {
-	s.stateMu.RLock()
-	defer s.stateMu.RUnlock()
-
 	c := s.compiled
 	st := s.getExec()
 	defer s.putExec(st)
@@ -706,29 +701,49 @@ func (s *Switch) regOp(st *execState, op *rop, params []uint64) error {
 	if err != nil {
 		return err
 	}
-	// Hold the bank lock across the read-modify-write: the data plane's
+	// Each access is one atomic operation on its cell: the data plane's
 	// stateful ALU is atomic per packet, and the replay-floor RMWMax
 	// depends on it.
-	mu := &s.regMu[op.x]
-	mu.Lock()
-	old := bank[idx]
+	cell := &bank[idx]
+	var old uint64
 	switch RMWKind(op.sub) {
-	case RMWAdd:
-		bank[idx] = (old + a) & op.rmask
 	case RMWWrite:
-		bank[idx] = a & op.rmask
-	case RMWMax:
-		if a > old {
-			bank[idx] = a & op.rmask
+		if op.dst >= 0 {
+			old = cell.Swap(a & op.rmask)
+		} else {
+			cell.Store(a & op.rmask)
 		}
-	case RMWXor:
-		bank[idx] = (old ^ a) & op.rmask
+	case RMWAdd, RMWMax, RMWXor:
+		old = rmw(cell, RMWKind(op.sub), a, op.rmask)
+	default:
+		old = cell.Load()
 	}
-	mu.Unlock()
 	if op.dst >= 0 {
 		st.phv[op.dst] = old & op.dmask
 	}
 	return nil
+}
+
+// rmw applies an Add, Max or Xor update to cell with a compare-and-swap
+// loop and returns the value it replaced.
+func rmw(cell *atomic.Uint64, kind RMWKind, a, rmask uint64) uint64 {
+	for {
+		old := cell.Load()
+		next := old
+		switch kind {
+		case RMWAdd:
+			next = (old + a) & rmask
+		case RMWMax:
+			if a > old {
+				next = a & rmask
+			}
+		case RMWXor:
+			next = (old ^ a) & rmask
+		}
+		if next == old || cell.CompareAndSwap(old, next) {
+			return old
+		}
+	}
 }
 
 // cond evaluates an OpIf's gateway condition.

@@ -2,6 +2,7 @@ package statestore
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -233,5 +234,73 @@ func TestTailer(t *testing.T) {
 	}
 	if tl.Seen() != 2 {
 		t.Fatalf("Seen = %d, want 2", tl.Seen())
+	}
+}
+
+// TestTailerConcurrentPoll has two goroutines poll one Tailer while a
+// writer rewrites its keys (run it under -race). Polls are serialized, so
+// no (key, value) pair is reported twice, and once the writer is done a
+// final poll leaves every key's last value reported.
+func TestTailerConcurrentPoll(t *testing.T) {
+	s := NewMem()
+	tl := NewTailer(s, "ctl/")
+	const keys, writes = 8, 400
+
+	var mu sync.Mutex
+	reported := make(map[string]int)
+	record := func(ch []Change) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range ch {
+			reported[c.Key+"="+string(c.Value)]++
+		}
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for p := 0; p < 2; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				ch, err := tl.Poll()
+				if err != nil {
+					t.Errorf("poll: %v", err)
+					return
+				}
+				record(ch)
+				_ = tl.Seen()
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	for i := 0; i < writes; i++ {
+		if err := s.Save(fmt.Sprintf("ctl/k%d", i%keys), []byte(fmt.Sprint(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	ch, err := tl.Poll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	record(ch)
+
+	for kv, n := range reported {
+		if n != 1 {
+			t.Fatalf("change %s reported %d times", kv, n)
+		}
+	}
+	for i := writes - keys; i < writes; i++ {
+		if kv := fmt.Sprintf("ctl/k%d=%d", i%keys, i); reported[kv] != 1 {
+			t.Fatalf("last value %s never reported", kv)
+		}
+	}
+	if got := tl.Seen(); got != keys {
+		t.Fatalf("Seen = %d, want %d", got, keys)
 	}
 }

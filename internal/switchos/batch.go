@@ -11,9 +11,10 @@ import (
 // packets through the pipeline via pisa.ProcessBatch, and — because each
 // packet of a batch owns its Result buffers for the batch's lifetime —
 // emission bytes flow upward into NetOut/PacketIns without the per-packet
-// arena copy the single-shot path pays. On a worker-backed switch
-// (pisa.WithWorkers > 1), packets on distinct ingress ports overlap and
-// the batch's pipeline cost is the slowest lane, not the sum.
+// arena copy the single-shot path pays. On a laned switch
+// (pisa.WithWorkers > 1), packets on distinct ingress ports are modeled
+// as running in parallel pipes: the batch's pipeline cost is the slowest
+// lane, not the sum.
 
 // batchMeta carries one pending packet's idempotency-cache bookkeeping
 // from the downward pass to the result walk.
